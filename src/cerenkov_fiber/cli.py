@@ -125,16 +125,16 @@ def _cmd_spectrum(args) -> int:
 def _cmd_scan(args) -> int:
     cfg = _load(args)
     model = make_model(cfg)
-    exp = cfg.experiment
+    exp = cfg.extras()
     scan = mass_shell_scan(
         model,
         args.pmin,
         args.pmax,
         args.steps,
         args.g,
-        n_shell_max=int(exp.get("n_shell_max", 3)),
-        fd_step=float(exp.get("fd_step", 1e-3)),
-        curvature_step=float(exp.get("curvature_step", 1e-2)),
+        n_shell_max=exp.n_shell_max,
+        fd_step=exp.fd_step,
+        curvature_step=exp.curvature_step,
         pairs=cfg.pairs,
         fingerprint=cfg.fingerprint(),
     )
@@ -156,16 +156,11 @@ def _sector_from_flag(text: str, axis, g: float, cfg: RunConfig):
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     kind = parts[1]
-    exp = cfg.experiment
-    if "cone_plateau_cos" in exp and "cone_support_cos" in exp:
-        cone = ConeSpec(
-            axis,
-            kind,
-            float(exp["cone_plateau_cos"]),
-            float(exp["cone_support_cos"]),
-        )
+    exp = cfg.extras()
+    if exp.cone_plateau_cos is not None:
+        cone = ConeSpec(axis, kind, exp.cone_plateau_cos, exp.cone_support_cos)
     else:
-        cone = cone_from_coupling(kind, axis, g, gamma=float(exp.get("gamma", 0.2)))
+        cone = cone_from_coupling(kind, axis, g, gamma=exp.gamma)
     return ShellSpec(n), cone
 
 

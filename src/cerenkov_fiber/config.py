@@ -7,16 +7,70 @@ reproduce byte-identical result bodies.
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 
 from cerenkov_fiber.fock import build_basis
 from cerenkov_fiber.formfactor import FormFactor
 from cerenkov_fiber.grids import AngularSpec, GridError, RadialSpec, build_grid
+from cerenkov_fiber.solver import DENSE_CUTOFF
 from cerenkov_fiber.spectra import FiberModel
 
 
 class ConfigError(ValueError):
     """Configuration value violates a module precondition."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """The typed `experiment` object: per-command extras with their defaults.
+
+    `dense_cutoff` bounds both the dense solve and the Schur block of the
+    shift-invert solve; the cone cosines are given together or not at all.
+    """
+
+    dense_cutoff: int = DENSE_CUTOFF
+    n_shell_max: int = 3
+    fd_step: float = 1e-3
+    curvature_step: float = 1e-2
+    gamma: float = 0.2
+    cone_plateau_cos: float | None = None
+    cone_support_cos: float | None = None
+
+    @classmethod
+    def from_dict(cls, data) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ConfigError("experiment must be a JSON object")
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown experiment fields: {sorted(unknown)}")
+        exp = cls(**data)
+        for name in ("dense_cutoff", "n_shell_max"):
+            value = getattr(exp, name)
+            if not (_is_int(value) and value >= 1):
+                raise ConfigError(f"experiment.{name} must be an integer >= 1")
+        for name in ("fd_step", "curvature_step", "gamma"):
+            value = getattr(exp, name)
+            if not (_is_real(value) and value > 0.0):
+                raise ConfigError(f"experiment.{name} must be a positive number")
+        cones = (exp.cone_plateau_cos, exp.cone_support_cos)
+        if (cones[0] is None) != (cones[1] is None):
+            raise ConfigError(
+                "experiment.cone_plateau_cos and cone_support_cos go together"
+            )
+        if cones[0] is not None and not all(
+            _is_real(c) and -1.0 <= c <= 1.0 for c in cones
+        ):
+            raise ConfigError("experiment cone cosines must lie in [-1, 1]")
+        return exp
 
 
 @dataclass
@@ -36,7 +90,12 @@ class RunConfig:
     solver_tol: float = 1e-9
     solver_maxiter: int | None = None
     pairs: int = 4
+    # kept as given, so the fingerprint covers exactly what the user wrote;
+    # `extras()` is its validated, typed view
     experiment: dict = field(default_factory=dict)
+
+    def extras(self) -> ExperimentConfig:
+        return ExperimentConfig.from_dict(self.experiment)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -82,8 +141,7 @@ class RunConfig:
             raise ConfigError("solver_tol must be positive")
         if self.pairs < 1:
             raise ConfigError("pairs must be >= 1")
-        if not isinstance(self.experiment, dict):
-            raise ConfigError("experiment must be a JSON object")
+        self.extras()
         return self
 
 
@@ -118,12 +176,11 @@ def make_model(cfg: RunConfig) -> FiberModel:
     """Materialize the discretized model this configuration describes."""
     grid = build_grid(cfg.radial_spec(), cfg.angular_spec())
     basis = build_basis(grid, cfg.n_max, cfg.e_cut)
-    dense_cutoff = int(cfg.experiment.get("dense_cutoff", 2000))
     return FiberModel(
         grid=grid,
         basis=basis,
         form_factor=cfg.form_factor(),
         solver_tol=cfg.solver_tol,
-        dense_cutoff=dense_cutoff,
+        dense_cutoff=cfg.extras().dense_cutoff,
         solver_maxiter=cfg.solver_maxiter,
     )

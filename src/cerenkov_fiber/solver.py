@@ -1,9 +1,20 @@
 """Lowest eigenpairs of sparse symmetric operators.
 
-Dense LAPACK diagonalization below a size cutoff, implicitly restarted
-Lanczos (ARPACK) above it.  Both paths verify residual norms against the
-requested tolerance and fix eigenvector signs for reproducible output files.
-The Lanczos starting vector is deterministic for the same reason.
+`lowest_eigenpairs(method="auto")` takes the first of four paths that fits:
+
+- "diagonal": the matrix is diagonal (e.g. g = 0), so occupation states are
+  eigenvectors;
+- "dense": LAPACK, up to `dense_cutoff` rows;
+- "schur": shift-invert Lanczos (ARPACK) through the exact Schur complement
+  of the matrix's trailing diagonal block, when the complement has at most
+  `dense_cutoff` rows;
+- "lanczos": implicitly restarted Lanczos (ARPACK) otherwise.
+
+Every path verifies residual norms against the requested tolerance and fixes
+eigenvector signs for reproducible output files.  The ARPACK start vector is
+deterministic for the same reason.  The Schur path also certifies, by
+Haynsworth inertia additivity, that no eigenvalue below the returned ones
+was missed.
 """
 
 from dataclasses import dataclass, field
@@ -11,11 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 from scipy import sparse
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from cerenkov_fiber.hamiltonian import SparseHermitianOperator
 
 DENSE_CUTOFF = 2000
+# bisection for the shift stops at this share of the initial bracket
+SHIFT_BRACKET_SHARE = 1e-6
 
 
 class EigensolverError(RuntimeError):
@@ -65,14 +78,171 @@ def _residuals(mat, vals, vecs):
     return np.linalg.norm(res, axis=0)
 
 
-def _diagonal_of(mat) -> np.ndarray | None:
-    """The diagonal if the matrix is exactly diagonal, else None."""
-    if mat.nnz > mat.shape[0]:
-        return None
+def trailing_diagonal_start(mat) -> int:
+    """Smallest t such that rows and columns t.. of a symmetric CSR matrix are diagonal.
+
+    By symmetry only entries right of the diagonal matter, and with sorted
+    indices the rightmost entry of a row is its last stored one: t is one
+    past the last row that stores an entry right of its diagonal.  t = 0
+    means the matrix is diagonal.
+    """
+    if not mat.has_sorted_indices:
+        mat = mat.sorted_indices()
+    ends = mat.indptr[1:]
+    rows = np.nonzero(ends > mat.indptr[:-1])[0]
+    coupled = rows[mat.indices[ends[rows] - 1] > rows]
+    return int(coupled[-1]) + 1 if coupled.size else 0
+
+
+class SchurBlocks:
+    """H = [[A, B], [B^T, D]] split at t, with D diagonal.
+
+    The Schur complement S(s) = A - s - B (D - s)^-1 B^T is a dense t x t
+    matrix.  Haynsworth inertia additivity gives, for s off the diagonal of D,
+    #(eigenvalues of H below s) = #(D < s) + #(negative eigenvalues of S(s)).
+    """
+
+    def __init__(self, mat, t: int):
+        self.lead = mat[:t, :t].toarray()
+        self.coupling = mat[:t, t:].tocsr()
+        self.coupling_t = self.coupling.T.tocsr()
+        self.top = mat.diagonal()[t:]
+
+    def complement(self, s: float) -> np.ndarray:
+        scaled = self.coupling_t.copy()
+        scaled.data /= np.repeat(self.top - s, np.diff(scaled.indptr))
+        out = self.lead - (self.coupling @ scaled).toarray()
+        out[np.diag_indices_from(out)] -= s
+        return out
+
+    def cholesky(self, s: float):
+        """Cholesky factor of S(s), or None when S(s) is not positive definite."""
+        try:
+            return scipy.linalg.cho_factor(
+                self.complement(s), lower=True, check_finite=False
+            )
+        except np.linalg.LinAlgError:
+            return None
+
+    def count_below(self, s: float) -> tuple:
+        """(#(D < s), negative inertia of S(s)); their sum counts H below s."""
+        _, blocks, _ = scipy.linalg.ldl(self.complement(s), check_finite=False)
+        return int(np.count_nonzero(self.top < s)), _negative_inertia(blocks)
+
+    def inverse(self, s: float, factor) -> LinearOperator:
+        """(H - s)^-1 by block elimination, given a Cholesky factor of S(s)."""
+        t = len(self.lead)
+        top_inv = 1.0 / (self.top - s)
+
+        def apply(x):
+            x = np.ravel(x)
+            y_top = top_inv * x[t:]
+            lead = scipy.linalg.cho_solve(
+                factor, x[:t] - self.coupling @ y_top, check_finite=False
+            )
+            return np.concatenate([lead, y_top - top_inv * (self.coupling_t @ lead)])
+
+        dim = t + len(self.top)
+        return LinearOperator((dim, dim), matvec=apply, dtype=float)
+
+
+def _negative_inertia(blocks: np.ndarray) -> int:
+    """Negative eigenvalue count of LDL^T's block diagonal (1x1 and 2x2)."""
+    diag = np.diagonal(blocks)
+    off = np.diagonal(blocks, 1)
+    starts = np.nonzero(off)[0]  # each 2x2 block [[a, b], [b, c]] starts here
+    single = np.ones(len(diag), dtype=bool)
+    single[starts] = single[starts + 1] = False
+    a, c, b = diag[starts], diag[starts + 1], off[starts]
+    det = a * c - b * b
+    pair_negatives = np.where(det < 0.0, 1, np.where(a + c < 0.0, 2, 0))
+    return int(np.count_nonzero(diag[single] < 0.0) + pair_negatives.sum())
+
+
+def _shift_below_ground(mat, blocks: SchurBlocks):
+    """A shift s just below the lowest eigenvalue, with Cholesky of S(s).
+
+    The lowest eigenvalue lies between the Gershgorin bound and min(diag H),
+    and S(s) is positive definite exactly when s lies below it (s stays below
+    min(diag H), hence below D).  Bisection on Cholesky success narrows the
+    bracket to SHIFT_BRACKET_SHARE of its width and returns its lower end.
+    """
     diag = mat.diagonal()
-    off = mat - sparse.diags(diag)
-    off.eliminate_zeros()
-    return diag if off.nnz == 0 else None
+    radius = np.asarray(abs(mat).sum(axis=1)).ravel() - np.abs(diag)
+    lo = float(np.min(diag - radius))
+    hi = float(np.min(diag))
+    lo -= SHIFT_BRACKET_SHARE * max(hi - lo, 1.0)  # strict: H - lo definite
+    width = hi - lo
+    factor = blocks.cholesky(lo)
+    if factor is None:
+        raise EigensolverError(
+            f"Schur complement not definite below the Gershgorin bound {lo:.6e}"
+        )
+    factorizations = 1
+    while hi - lo > SHIFT_BRACKET_SHARE * width:
+        mid = 0.5 * (lo + hi)
+        factorizations += 1
+        trial = blocks.cholesky(mid)
+        if trial is None:
+            hi = mid
+        else:
+            lo, factor = mid, trial
+    return lo, factor, factorizations
+
+
+def _arpack(mat, count, tol, maxiter, v0, **selection):
+    """ARPACK's `count` lowest pairs, sorted; failures become EigensolverError.
+
+    `selection` is `which` and, for shift-invert, `sigma` and `OPinv`.
+    """
+    try:
+        vals, vecs = eigsh(
+            mat, k=count, tol=tol * 1e-2, maxiter=maxiter, v0=v0, **selection
+        )
+    except ArpackNoConvergence as exc:
+        best_vals = np.asarray(exc.eigenvalues)
+        best_res = (
+            _residuals(mat, best_vals, exc.eigenvectors)
+            if exc.eigenvectors is not None and len(best_vals)
+            else None
+        )
+        raise EigensolverError(
+            f"Lanczos did not converge within the iteration budget "
+            f"({len(best_vals)} of {count} pairs converged)",
+            best_eigenvalues=best_vals,
+            best_residuals=best_res,
+        ) from exc
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
+
+
+def _certify(blocks: SchurBlocks, vals: np.ndarray, tol: float) -> dict:
+    """Prove by inertia counts that no eigenvalue below the returned ones was missed.
+
+    Each returned value lies within its residual (<= tol) of an eigenvalue,
+    so at least len(vals) eigenvalues lie below tau = vals[-1] + 2 tol, and
+    exactly len(vals) proves the returned values are the lowest.  A larger
+    count is accepted only when the extra levels tie with the highest
+    returned one (a symmetry multiplet cut by `count`): the count below
+    vals[-1] - 2 tol must then equal the returned values below it.
+    """
+    eta = 2.0 * tol
+    tau = float(vals[-1]) + eta
+    top, inertia = blocks.count_below(tau)
+    record = {"certificate_tau": tau, "count_top_block": top, "count_schur": inertia}
+    if top + inertia != len(vals):
+        below = float(vals[-1]) - eta
+        expected = int(np.count_nonzero(vals < below))
+        found = sum(blocks.count_below(below))
+        record["count_below_top_tie"] = found
+        if top + inertia < len(vals) or found != expected:
+            raise EigensolverError(
+                f"inertia certificate failed: {top + inertia} eigenvalues below "
+                f"{tau:.12e} and {found} below {below:.12e}, but "
+                f"{len(vals)} and {expected} pairs were returned",
+                best_eigenvalues=vals,
+            )
+    return record
 
 
 def lowest_eigenpairs(
@@ -85,19 +255,23 @@ def lowest_eigenpairs(
 ) -> SpectralResult:
     """Algebraically smallest `count` eigenpairs of a symmetric operator.
 
-    `method` is one of "auto", "dense", "lanczos".  Auto uses dense LAPACK up
-    to `dense_cutoff` rows.  Raises :class:`EigensolverError` when the
-    iterative path fails to reach the tolerance, carrying the best residuals.
+    `method` is one of "auto", "dense", "lanczos"; the module docstring lists
+    the paths "auto" chooses between.  Raises :class:`EigensolverError` when
+    an iterative path fails to reach the tolerance, carrying the best
+    residuals, or when the Schur path's inertia certificate fails.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    if method not in ("auto", "dense", "lanczos"):
+        raise ValueError(f"unknown method {method!r}")
     mat = _as_csr(op)
     dim = mat.shape[0]
-    diag = _diagonal_of(mat) if method == "auto" else None
-    if diag is not None:
-        # exactly diagonal (e.g. g = 0): occupation states are eigenvectors
-        if not 0 < count <= dim:
-            raise ValueError(f"count={count} invalid for dimension {dim}")
+    if not 0 < count <= dim:
+        raise ValueError(f"count={count} invalid for dimension {dim}")
+    t = trailing_diagonal_start(mat) if method == "auto" else None
+    diagnostics = {"dimension": dim}
+    if t == 0:
+        diag = mat.diagonal()
         order = np.argsort(diag, kind="stable")[:count]
         vecs = np.zeros((dim, count))
         vecs[order, np.arange(count)] = 1.0
@@ -106,48 +280,38 @@ def lowest_eigenpairs(
             eigenvectors=vecs,
             residual_norms=np.zeros(count),
             method="diagonal",
-            diagnostics={"dimension": dim},
+            diagnostics=diagnostics,
         )
-    if not 0 < count < dim or method == "dense" or (
+    if count == dim or method == "dense" or (
         method == "auto" and dim <= dense_cutoff
     ):
-        if not 0 < count <= dim:
-            raise ValueError(f"count={count} invalid for dimension {dim}")
         vals, vecs = scipy.linalg.eigh(
             mat.toarray(), subset_by_index=(0, count - 1)
         )
         used = "dense"
-        diagnostics = {"dimension": dim}
-    elif method in ("auto", "lanczos"):
-        v0 = np.full(dim, 1.0 / np.sqrt(dim))
-        try:
-            vals, vecs = eigsh(
-                mat,
-                k=count,
-                which="SA",
-                tol=tol * 1e-2,
-                maxiter=maxiter,
-                v0=v0,
-            )
-        except ArpackNoConvergence as exc:
-            best_vals = np.asarray(exc.eigenvalues)
-            best_res = (
-                _residuals(mat, best_vals, exc.eigenvectors)
-                if exc.eigenvectors is not None and len(best_vals)
-                else None
-            )
-            raise EigensolverError(
-                f"Lanczos did not converge within the iteration budget "
-                f"({len(best_vals)} of {count} pairs converged)",
-                best_eigenvalues=best_vals,
-                best_residuals=best_res,
-            ) from exc
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        used = "lanczos"
-        diagnostics = {"dimension": dim, "start_vector": "uniform"}
     else:
-        raise ValueError(f"unknown method {method!r}")
+        v0 = np.full(dim, 1.0 / np.sqrt(dim))
+        diagnostics["start_vector"] = "uniform"
+        if method == "auto" and t <= dense_cutoff:
+            blocks = SchurBlocks(mat, t)
+            shift, factor, factorizations = _shift_below_ground(mat, blocks)
+            vals, vecs = _arpack(
+                mat,
+                count,
+                tol,
+                maxiter,
+                v0,
+                sigma=shift,
+                which="LM",
+                OPinv=blocks.inverse(shift, factor),
+            )
+            used = "schur"
+            diagnostics.update(
+                schur_size=t, shift=shift, factorizations=factorizations
+            )
+        else:
+            vals, vecs = _arpack(mat, count, tol, maxiter, v0, which="SA")
+            used = "lanczos"
 
     vecs = _fix_signs(np.asarray(vecs))
     res = _residuals(mat, vals, vecs)
@@ -157,6 +321,8 @@ def lowest_eigenpairs(
             best_eigenvalues=vals,
             best_residuals=res,
         )
+    if used == "schur":
+        diagnostics.update(_certify(blocks, vals, tol))
     return SpectralResult(
         eigenvalues=np.asarray(vals, dtype=float),
         eigenvectors=vecs,

@@ -368,9 +368,14 @@ def vacuum_overlap_distribution(
         from scipy.sparse.linalg import eigsh
 
         mat = model.hamiltonian(P, g).matrix.tocsc()
+        # fixed seed for reproducible files; not the uniform vector, which
+        # has no component outside the fully symmetric sector
+        v0 = np.random.default_rng(0).standard_normal(dim)
         k = max(min_pairs, 32)
         while True:
-            vals, vecs = eigsh(mat, k=min(k, dim - 2), sigma=center, which="LM")
+            vals, vecs = eigsh(
+                mat, k=min(k, dim - 2), sigma=center, which="LM", v0=v0
+            )
             order = np.argsort(vals)
             vals, vecs = vals[order], vecs[:, order]
             all_weights = vecs[0, :] ** 2

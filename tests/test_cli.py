@@ -118,6 +118,20 @@ def test_deterministic_outputs(tmp_path, config_path):
     assert (out1 / "scan.csv").read_bytes() == (out2 / "scan.csv").read_bytes()
 
 
+def test_overlap_shift_invert_outputs_reproduce(tmp_path):
+    # dim 91 above a dense cutoff of 10: the shift-invert eigsh path
+    cfg = dict(radial_count=4, polar_count=3, n_max=2, experiment={"dense_cutoff": 10})
+    path = tmp_path / "overlap.json"
+    path.write_text(json.dumps(cfg))
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    for out in (out1, out2):
+        assert run([
+            "overlap", "--config", str(path), "--out", str(out),
+            "--p", "1.5,0,0", "--g", "0.05",
+        ]) == 0
+    assert (out1 / "overlap.csv").read_bytes() == (out2 / "overlap.csv").read_bytes()
+
+
 def test_unknown_flag_exit_code(capsys, config_path):
     code = run(["scan", "--config", config_path, "--bogus", "1"])
     assert code == EXIT_VALIDATION

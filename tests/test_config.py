@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cerenkov_fiber.cli import EXIT_VALIDATION, main
 from cerenkov_fiber.config import (
     ConfigError,
     RunConfig,
@@ -67,3 +68,39 @@ def test_bad_files(tmp_path):
     array.write_text("[1, 2]")
     with pytest.raises(ConfigError):
         load_config(array)
+
+
+EXPERIMENT_RULES = {
+    "unknown key": {"bogus_key": 1},
+    "dense_cutoff below 1": {"dense_cutoff": 0},
+    "dense_cutoff not an integer": {"dense_cutoff": 2.5},
+    "n_shell_max below 1": {"n_shell_max": 0},
+    "fd_step not positive": {"fd_step": -1},
+    "curvature_step not positive": {"curvature_step": 0.0},
+    "gamma not positive": {"gamma": -0.2},
+    "plateau cosine above 1": {"cone_plateau_cos": 1.5, "cone_support_cos": 0.5},
+    "support cosine below -1": {"cone_plateau_cos": 0.9, "cone_support_cos": -1.1},
+    "one cone cosine alone": {"cone_plateau_cos": 0.9},
+    "not an object": [],
+}
+
+
+@pytest.mark.parametrize(
+    "experiment", EXPERIMENT_RULES.values(), ids=EXPERIMENT_RULES.keys()
+)
+def test_experiment_rules_exit_with_validation_record(tmp_path, capsys, experiment):
+    with pytest.raises(ConfigError, match="experiment"):
+        config_from_dict({"experiment": experiment})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"experiment": experiment}))
+    code = main(["golden-rule", "--config", str(path), "--p", "1.5,0,0", "--g", "0.1"])
+    assert code == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "validation"
+
+
+def test_experiment_defaults_and_values():
+    assert RunConfig().extras().dense_cutoff == 2000
+    cfg = config_from_dict({"experiment": {"dense_cutoff": 50, "fd_step": 2e-3}})
+    assert make_model(cfg).dense_cutoff == 50
+    assert cfg.extras().fd_step == 2e-3
+    assert cfg.to_dict()["experiment"] == {"dense_cutoff": 50, "fd_step": 2e-3}

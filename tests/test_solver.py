@@ -1,9 +1,30 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
+from cerenkov_fiber.config import RunConfig, make_model
+from cerenkov_fiber.fock import build_basis
+from cerenkov_fiber.formfactor import FormFactor
+from cerenkov_fiber.grids import AngularSpec, RadialSpec, build_grid
 from cerenkov_fiber.hamiltonian import build_fiber_hamiltonian, FiberParams
-from cerenkov_fiber.solver import EigensolverError, lowest_eigenpairs
+from cerenkov_fiber.solver import (
+    EigensolverError,
+    SchurBlocks,
+    _certify,
+    lowest_eigenpairs,
+    trailing_diagonal_start,
+)
+
+
+def random_with_trailing_diagonal(dim=200, t=60, seed=42):
+    """Random symmetric matrix whose rows and columns t.. form a diagonal block."""
+    a = np.random.default_rng(seed).normal(size=(dim, dim))
+    sym = (a + a.T) / 2.0
+    sym[t:, t:] = np.diag(np.diag(sym)[t:])
+    return sym
 
 
 def test_diagonal_matrix_picks_smallest():
@@ -26,14 +47,81 @@ def test_two_by_two_resonant_closed_form(single_mode_setup):
 
 
 def test_dense_and_iterative_agree_on_random_symmetric():
-    rng = np.random.default_rng(42)
-    a = rng.normal(size=(200, 200))
-    sym = (a + a.T) / 2.0
+    sym = random_with_trailing_diagonal(t=60)
+    mat = sparse.csr_matrix(sym)
     dense = lowest_eigenpairs(sym, 5, tol=1e-9, method="dense")
-    lanczos = lowest_eigenpairs(sparse.csr_matrix(sym), 5, tol=1e-9, method="lanczos")
-    assert lanczos.eigenvalues == pytest.approx(dense.eigenvalues, abs=1e-8)
-    assert lanczos.method == "lanczos"
-    assert np.all(lanczos.residual_norms <= 1e-9)
+    lanczos = lowest_eigenpairs(mat, 5, tol=1e-9, method="lanczos")
+    # auto with the Schur block (60) under the cutoff and the matrix above it
+    schur = lowest_eigenpairs(mat, 5, tol=1e-9, dense_cutoff=100)
+    for res, method in ((lanczos, "lanczos"), (schur, "schur")):
+        assert res.method == method
+        assert res.eigenvalues == pytest.approx(dense.eigenvalues, abs=1e-8)
+        assert np.all(res.residual_norms <= 1e-9)
+    diag = schur.diagnostics
+    assert diag["schur_size"] == 60
+    assert diag["shift"] < dense.eigenvalues[0]
+    assert diag["count_top_block"] + diag["count_schur"] == 5
+
+
+def test_certificate_mismatch_raises(monkeypatch):
+    mat = sparse.csr_matrix(random_with_trailing_diagonal(t=60))
+    true_count = SchurBlocks.count_below
+
+    def one_more(self, s):
+        top, inertia = true_count(self, s)
+        return top, inertia + 1  # as if a pair below had been missed
+
+    monkeypatch.setattr(SchurBlocks, "count_below", one_more)
+    with pytest.raises(EigensolverError, match="certificate"):
+        lowest_eigenpairs(mat, 5, tol=1e-9, dense_cutoff=100)
+
+
+def test_certificate_accepts_a_cut_multiplet_and_rejects_a_gap():
+    # three azimuthal nodes: levels off the axis come in exact doublets
+    model = make_model(
+        RunConfig(radial_count=6, polar_count=3, azimuthal_count=3).validate()
+    )
+    h = model.hamiltonian(model.on_axis(0.5), 0.1).matrix
+    exact = scipy.linalg.eigvalsh(h.toarray(), subset_by_index=(0, 9))
+    cut = 1 + int(np.argmax(np.diff(exact) < 1e-12))  # exact[cut] ties exact[cut - 1]
+    assert cut > 1 and exact[cut] - exact[cut - 1] < 1e-12
+    blocks = SchurBlocks(h, trailing_diagonal_start(h))
+    record = _certify(blocks, exact[:cut], 1e-9)
+    assert record["count_top_block"] + record["count_schur"] == cut + 1
+    with pytest.raises(EigensolverError, match="certificate"):
+        _certify(blocks, exact[1 : cut + 1], 1e-9)  # the ground level missed
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    radial=st.integers(2, 4),
+    polar=st.integers(1, 2),
+    azimuthal=st.integers(1, 2),
+    n_max=st.integers(1, 3),
+    cut_e=st.one_of(st.none(), st.floats(0.3, 3.0)),
+    p=st.floats(0.0, 2.0),
+    g=st.floats(0.01, 1.0),
+    s=st.floats(-0.5, 3.0),
+)
+def test_schur_count_matches_dense_spectrum(
+    radial, polar, azimuthal, n_max, cut_e, p, g, s
+):
+    grid = build_grid(RadialSpec(0.1, 1.0, radial), AngularSpec(polar, azimuthal))
+    basis = build_basis(grid, n_max, cut_e)
+    params = FiberParams(
+        P=(0.0, 0.0, p), g=g, grid=grid, basis=basis, form_factor=FormFactor(cutoff=2.0)
+    )
+    mat = build_fiber_hamiltonian(params).matrix
+    t = trailing_diagonal_start(mat)
+    below_n_max = int(np.count_nonzero(basis.boson_count < n_max))
+    assert t <= below_n_max
+    if cut_e is None:
+        assert t == below_n_max
+    assume(t > 0)
+    blocks = SchurBlocks(mat, t)
+    eigs = scipy.linalg.eigvalsh(mat.toarray())
+    assume(np.min(np.abs(np.concatenate([eigs, blocks.top]) - s)) > 1e-6)
+    assert sum(blocks.count_below(s)) == np.count_nonzero(eigs < s)
 
 
 def test_eigenvectors_orthonormal(small_model):

@@ -65,18 +65,22 @@ def test_free_slope_above_threshold_near_unity(scan_model):
 def test_scan_marks_failed_points_and_continues():
     grid = build_grid(RadialSpec(0.05, 1.0, 10, "geometric"), AngularSpec(6, 1))
     basis = build_basis(grid, 2)
-    broken = FiberModel(
-        grid=grid,
-        basis=basis,
-        form_factor=FormFactor(),
-        solver_tol=1e-14,
-        solver_maxiter=1,
-        dense_cutoff=10,  # force the iterative path so the budget can fail
-    )
-    scan = mass_shell_scan(broken, 0.3, 0.7, 3, g=0.05)
-    assert len(scan.rows) == 3
-    assert all(row.status == "failed" for row in scan.rows)
-    assert all(math.isnan(row.e0) for row in scan.rows)
+    # dim 1,891 with a Schur block of 61: a cutoff of 10 forces Lanczos, 100
+    # the Schur path, so the iteration budget can fail on either
+    for dense_cutoff, method in ((10, "lanczos"), (100, "schur")):
+        model = FiberModel(
+            grid=grid,
+            basis=basis,
+            form_factor=FormFactor(),
+            solver_tol=1e-14,
+            dense_cutoff=dense_cutoff,
+        )
+        assert model.lowest(model.on_axis(0.3), 0.05, count=4).method == method
+        model.solver_maxiter = 1
+        scan = mass_shell_scan(model, 0.3, 0.7, 3, g=0.05)
+        assert len(scan.rows) == 3
+        assert all(row.status == "failed" for row in scan.rows)
+        assert all(math.isnan(row.e0) for row in scan.rows)
 
 
 def test_gradients_agree_perturbative(scan_model):
