@@ -11,10 +11,10 @@
 - "lanczos": implicitly restarted Lanczos (ARPACK) otherwise.
 
 Every path verifies residual norms against the requested tolerance and fixes
-eigenvector signs for reproducible output files.  The ARPACK start vector is
-deterministic for the same reason.  The Schur path also certifies, by
+eigenvector signs for reproducible output files.  The ARPACK start vectors
+are deterministic for the same reason.  The Schur path also certifies, by
 Haynsworth inertia additivity, that no eigenvalue below the returned ones
-was missed.
+was missed, and restarts deflated against the pairs found while one was.
 """
 
 from dataclasses import dataclass, field
@@ -216,33 +216,106 @@ def _arpack(mat, count, tol, maxiter, v0, **selection):
     return vals[order], vecs[:, order]
 
 
-def _certify(blocks: SchurBlocks, vals: np.ndarray, tol: float) -> dict:
-    """Prove by inertia counts that no eigenvalue below the returned ones was missed.
+def _inertia_counts(blocks: SchurBlocks, vals: np.ndarray, tol: float) -> dict:
+    """Count the eigenvalues below the returned ones by inertia.
 
     Each returned value lies within its residual (<= tol) of an eigenvalue,
     so at least len(vals) eigenvalues lie below tau = vals[-1] + 2 tol, and
     exactly len(vals) proves the returned values are the lowest.  A larger
     count is accepted only when the extra levels tie with the highest
-    returned one (a symmetry multiplet cut by `count`): the count below
-    vals[-1] - 2 tol must then equal the returned values below it.
+    returned one (a symmetry multiplet cut by `count`).  "missed" counts the
+    eigenvalues below vals[-1] - 2 tol that are not among `vals`.
     """
     eta = 2.0 * tol
     tau = float(vals[-1]) + eta
     top, inertia = blocks.count_below(tau)
-    record = {"certificate_tau": tau, "count_top_block": top, "count_schur": inertia}
+    record = {
+        "certificate_tau": tau,
+        "count_top_block": top,
+        "count_schur": inertia,
+        "missed": 0,
+    }
     if top + inertia != len(vals):
         below = float(vals[-1]) - eta
-        expected = int(np.count_nonzero(vals < below))
         found = sum(blocks.count_below(below))
         record["count_below_top_tie"] = found
-        if top + inertia < len(vals) or found != expected:
-            raise EigensolverError(
-                f"inertia certificate failed: {top + inertia} eigenvalues below "
-                f"{tau:.12e} and {found} below {below:.12e}, but "
-                f"{len(vals)} and {expected} pairs were returned",
-                best_eigenvalues=vals,
-            )
+        record["missed"] = found - int(np.count_nonzero(vals < below))
     return record
+
+
+def _certify(blocks: SchurBlocks, vals: np.ndarray, tol: float, record=None) -> dict:
+    """Prove that no eigenvalue below the returned ones was missed, or raise."""
+    if record is None:
+        record = _inertia_counts(blocks, vals, tol)
+    count = record["count_top_block"] + record["count_schur"]
+    if count < len(vals) or record["missed"] != 0:
+        raise EigensolverError(
+            f"inertia certificate failed: {count} eigenvalues below "
+            f"{record['certificate_tau']:.12e} for {len(vals)} pairs, "
+            f"{record['missed']} lower levels missed",
+            best_eigenvalues=vals,
+        )
+    return record
+
+
+def _project_out(found: np.ndarray, x) -> np.ndarray:
+    x = np.ravel(x)
+    return x - found @ (found.T @ x)
+
+
+def _deflated(inverse: LinearOperator, found: np.ndarray) -> LinearOperator:
+    """The operator restricted to the orthogonal complement of `found`."""
+    return LinearOperator(
+        inverse.shape,
+        matvec=lambda x: _project_out(found, inverse @ _project_out(found, x)),
+        dtype=float,
+    )
+
+
+def _schur_pairs(mat, t: int, count, tol, maxiter, v0):
+    """Lowest `count` pairs by shift-invert through the Schur complement.
+
+    Single-vector Lanczos sees one vector per distinct eigenvalue, and the
+    uniform start none outside the fully symmetric sector, so on grids with
+    azimuthal symmetry it can skip a level.  The inertia count shows how
+    many were skipped; each restart then runs on (H - s)^-1 deflated against
+    the pairs found, from a fixed-seed random start, which finds at least
+    the lowest skipped level.
+    """
+    blocks = SchurBlocks(mat, t)
+    shift, factor, factorizations = _shift_below_ground(mat, blocks)
+    inverse = blocks.inverse(shift, factor)
+    vals, vecs = _arpack(
+        mat, count, tol, maxiter, v0, sigma=shift, which="LM", OPinv=inverse
+    )
+    restarts = 0
+    rng = np.random.default_rng(0)
+    record = _inertia_counts(blocks, vals, tol)
+    while record["missed"] > 0 and restarts < count:
+        restarts += 1
+        more_vals, more_vecs = _arpack(
+            mat,
+            min(record["missed"], count),
+            tol,
+            maxiter,
+            _project_out(vecs, rng.standard_normal(len(v0))),
+            sigma=shift,
+            which="LM",
+            OPinv=_deflated(inverse, vecs),
+        )
+        vals = np.concatenate([vals, more_vals])
+        vecs = np.hstack([vecs, more_vecs])
+        order = np.argsort(vals, kind="stable")[:count]
+        vals, vecs = vals[order], vecs[:, order]
+        record = _inertia_counts(blocks, vals, tol)
+    diagnostics = {
+        "schur_size": t,
+        "shift": shift,
+        "factorizations": factorizations,
+        "deflated_restarts": restarts,
+    }
+    diagnostics.update(_certify(blocks, vals, tol, record))
+    return vals, vecs, diagnostics
 
 
 def lowest_eigenpairs(
@@ -293,22 +366,11 @@ def lowest_eigenpairs(
         v0 = np.full(dim, 1.0 / np.sqrt(dim))
         diagnostics["start_vector"] = "uniform"
         if method == "auto" and t <= dense_cutoff:
-            blocks = SchurBlocks(mat, t)
-            shift, factor, factorizations = _shift_below_ground(mat, blocks)
-            vals, vecs = _arpack(
-                mat,
-                count,
-                tol,
-                maxiter,
-                v0,
-                sigma=shift,
-                which="LM",
-                OPinv=blocks.inverse(shift, factor),
+            vals, vecs, schur_diagnostics = _schur_pairs(
+                mat, t, count, tol, maxiter, v0
             )
+            diagnostics.update(schur_diagnostics)
             used = "schur"
-            diagnostics.update(
-                schur_size=t, shift=shift, factorizations=factorizations
-            )
         else:
             vals, vecs = _arpack(mat, count, tol, maxiter, v0, which="SA")
             used = "lanczos"
@@ -321,8 +383,6 @@ def lowest_eigenpairs(
             best_eigenvalues=vals,
             best_residuals=res,
         )
-    if used == "schur":
-        diagnostics.update(_certify(blocks, vals, tol))
     return SpectralResult(
         eigenvalues=np.asarray(vals, dtype=float),
         eigenvectors=vecs,

@@ -27,6 +27,7 @@ from cerenkov_fiber.hamiltonian import (
 )
 from cerenkov_fiber.observables import expect_field_momentum, expect_number
 from cerenkov_fiber.solver import (
+    DENSE_CUTOFF,
     EigensolverError,
     SpectralResult,
     lowest_eigenpairs,
@@ -57,7 +58,7 @@ class FiberModel:
     basis: FockBasis
     form_factor: FormFactor
     solver_tol: float = 1e-9
-    dense_cutoff: int = 2000
+    dense_cutoff: int = DENSE_CUTOFF
     solver_maxiter: int | None = None
 
     def params(self, P, g: float) -> FiberParams:

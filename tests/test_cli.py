@@ -1,8 +1,10 @@
 import json
 
 import pytest
+import scipy.linalg
 
 from cerenkov_fiber.cli import EXIT_SOLVER, EXIT_VALIDATION, main
+from cerenkov_fiber.config import load_config, make_model
 
 SMALL = dict(
     radial_count=6,
@@ -130,6 +132,31 @@ def test_overlap_shift_invert_outputs_reproduce(tmp_path):
             "--p", "1.5,0,0", "--g", "0.05",
         ]) == 0
     assert (out1 / "overlap.csv").read_bytes() == (out2 / "overlap.csv").read_bytes()
+
+
+def test_scan_and_virial_on_symmetric_grid(tmp_path):
+    # dim 2,701 over the default dense cutoff, Schur block 73 under it: the
+    # levels above the ground state come in doublets
+    cfg = dict(radial_count=6, polar_count=3, azimuthal_count=4)
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(cfg))
+    assert run([
+        "scan", "--config", str(path), "--out", str(tmp_path),
+        "--pmin", "0.5", "--pmax", "1.5", "--steps", "3", "--g", "0.1",
+    ]) == 0
+    lines = (tmp_path / "scan.csv").read_text().strip().split("\n")
+    header = lines[1].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
+    assert [row["status"] for row in rows] == ["ok"] * 3
+    model = make_model(load_config(str(path)))
+    for row in rows:
+        h = model.hamiltonian(model.on_axis(float(row["p"])), 0.1).matrix
+        exact = scipy.linalg.eigvalsh(h.toarray(), subset_by_index=(0, 0))
+        assert float(row["e0"]) == pytest.approx(exact[0], abs=1e-10)
+    assert run([
+        "virial", "--config", str(path), "--out", str(tmp_path),
+        "--p", "0,0,0.5", "--g", "0.1",
+    ]) == 0
 
 
 def test_unknown_flag_exit_code(capsys, config_path):

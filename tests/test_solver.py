@@ -47,20 +47,44 @@ def test_two_by_two_resonant_closed_form(single_mode_setup):
 
 
 def test_dense_and_iterative_agree_on_random_symmetric():
-    sym = random_with_trailing_diagonal(t=60)
-    mat = sparse.csr_matrix(sym)
-    dense = lowest_eigenpairs(sym, 5, tol=1e-9, method="dense")
-    lanczos = lowest_eigenpairs(mat, 5, tol=1e-9, method="lanczos")
-    # auto with the Schur block (60) under the cutoff and the matrix above it
-    schur = lowest_eigenpairs(mat, 5, tol=1e-9, dense_cutoff=100)
-    for res, method in ((lanczos, "lanczos"), (schur, "schur")):
+    rng = np.random.default_rng(42)
+    a = rng.normal(size=(200, 200))
+    full = (a + a.T) / 2.0
+    # the same size with rows and columns 60.. diagonal: auto takes the
+    # Schur path when the cutoff lies between the block (60) and the matrix
+    blocked = random_with_trailing_diagonal(t=60)
+    cases = (
+        (full, "lanczos", {"method": "lanczos"}),
+        (blocked, "lanczos", {"method": "lanczos"}),
+        (blocked, "schur", {"dense_cutoff": 100}),
+    )
+    for sym, method, options in cases:
+        dense = lowest_eigenpairs(sym, 5, tol=1e-9, method="dense")
+        res = lowest_eigenpairs(sparse.csr_matrix(sym), 5, tol=1e-9, **options)
         assert res.method == method
         assert res.eigenvalues == pytest.approx(dense.eigenvalues, abs=1e-8)
         assert np.all(res.residual_norms <= 1e-9)
-    diag = schur.diagnostics
+    diag = res.diagnostics
     assert diag["schur_size"] == 60
     assert diag["shift"] < dense.eigenvalues[0]
     assert diag["count_top_block"] + diag["count_schur"] == 5
+
+
+def test_schur_recovers_multiplet_partners_on_symmetric_grid():
+    # four azimuthal nodes: single-vector Lanczos from the uniform start
+    # finds one vector of each doublet, and the deflated restarts the rest
+    model = make_model(
+        RunConfig(radial_count=6, polar_count=3, azimuthal_count=4).validate()
+    )
+    h = model.hamiltonian(model.on_axis(0.5), 0.1).matrix
+    exact = scipy.linalg.eigvalsh(h.toarray(), subset_by_index=(0, 7))
+    for count in (4, 8):
+        res = lowest_eigenpairs(h, count, tol=1e-9)
+        assert res.method == "schur"
+        assert res.diagnostics["deflated_restarts"] >= 1
+        assert res.eigenvalues == pytest.approx(exact[:count], abs=1e-10)
+        gram = res.eigenvectors.T @ res.eigenvectors
+        assert gram == pytest.approx(np.eye(count), abs=1e-8)
 
 
 def test_certificate_mismatch_raises(monkeypatch):
