@@ -1,23 +1,30 @@
 """Truncated bosonic occupation-number basis and ladder-operator matrix elements.
 
-States are multisets of grid-mode indices, stored as nondecreasing tuples.
-The canonical order is graded by total boson number, then lexicographic in
-the nondecreasing mode-index word; this tie-breaking is frozen so result
-files reproduce bit-for-bit.  The vacuum is always ordinal 0.
+A state is a multiset of grid-mode indices, its nondecreasing mode word.  The
+basis stores all words as one int array, one row per state, padded with -1
+on the right.  The canonical order is graded by total boson number, then
+lexicographic in the word; this tie-breaking is frozen so result files
+reproduce bit-for-bit.  The vacuum is always ordinal 0.
 
-Basis objects are immutable after construction and safe for shared reads.
+Each state has an integer key, its boson number followed by the word's
+digits (mode + 1, padding 0) in base M + 1, so keys increase strictly in the
+canonical order and a word is found by binary search.  The single-boson-
+removal table (transitions) is built with the basis, so a basis has no lazy
+state after construction.
 """
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from cerenkov_fiber.grids import MomentumGrid
 
 DEFAULT_DIM_BUDGET = 400_000
+
+# Candidate words built at once when extending a level; bounds the memory of
+# the enumeration on large grids with a tight energy cut.
+CANDIDATE_BLOCK = 1 << 20
 
 
 class BasisSizeError(RuntimeError):
@@ -61,69 +68,96 @@ def _canonical_tuple(occupation, n_modes: int) -> tuple:
 
 @dataclass
 class FockBasis:
-    """Enumerated occupation basis with fast index maps and per-state totals."""
+    """Enumerated occupation basis: padded mode words, keys and transitions.
+
+    `words` has shape (dimension, width), width being the largest boson
+    number present; rows are in the canonical order.
+    """
 
     grid: MomentumGrid
     n_max: int
     e_cut: float | None
-    states: list
-    _index: dict = field(repr=False)
+    words: np.ndarray
 
     def __post_init__(self):
-        mags = self.grid.magnitudes
-        entry_state, entry_mode, entry_count = [], [], []
-        for i, word in enumerate(self.states):
-            for mode, group in itertools.groupby(word):
-                entry_state.append(i)
-                entry_mode.append(mode)
-                entry_count.append(sum(1 for _ in group))
-        self._entry_state = np.asarray(entry_state, dtype=np.int64)
-        self._entry_mode = np.asarray(entry_mode, dtype=np.int64)
-        self._entry_count = np.asarray(entry_count, dtype=np.float64)
-        dim = len(self.states)
-        self.boson_count = np.bincount(
-            self._entry_state, weights=self._entry_count, minlength=dim
+        words = self.words
+        width = words.shape[1]
+        base = self.grid.n_modes + 1
+        if (width + 1) * base**width > np.iinfo(np.int64).max:
+            raise ValueError(
+                f"{width}-boson words on {self.grid.n_modes} modes overflow "
+                "the int64 state keys"
+            )
+        self._level_key = base**width
+        self._powers = base ** np.arange(width - 1, -1, -1, dtype=np.int64)
+        self._keys = self._key(words)
+
+        # One transition per run of equal modes in a word: its first position.
+        occupied = words >= 0
+        starts = occupied.copy()
+        starts[:, 1:] &= words[:, 1:] != words[:, :-1]
+        run = occupied.astype(np.int64)
+        for pos in range(width - 2, -1, -1):
+            run[:, pos] += run[:, pos + 1] * (words[:, pos + 1] == words[:, pos])
+        cols = np.zeros_like(words)
+        for pos in range(width):
+            rows = np.nonzero(starts[:, pos])[0]
+            shorter = np.delete(words[rows], pos, axis=1)
+            padded = np.hstack([shorter, np.full((len(rows), 1), -1)])
+            cols[rows, pos] = np.searchsorted(self._keys, self._key(padded))
+        state, pos = np.nonzero(starts)
+        self._counts = run[state, pos].astype(np.float64)
+        self._table = (
+            state,
+            cols[state, pos],
+            words[state, pos],
+            np.sqrt(self._counts),
         )
-        self.free_field_energy = self.dgamma_diagonal(mags)
+
+        self.boson_count = occupied.sum(axis=1).astype(np.float64)
+        self.free_field_energy = self.dgamma_diagonal(self.grid.magnitudes)
         self.total_momentum = self.dgamma_vector_diagonal(self.grid.k)
-        self._transitions = None
+
+    def _key(self, words: np.ndarray) -> np.ndarray:
+        count = (words >= 0).sum(axis=1)
+        return count * self._level_key + (words + 1) @ self._powers
 
     @property
     def dimension(self) -> int:
-        return len(self.states)
+        return len(self.words)
 
     def index_of(self, occupation) -> int:
         word = _canonical_tuple(occupation, self.grid.n_modes)
-        try:
-            return self._index[word]
-        except KeyError:
-            raise StateLookupError(
-                f"occupation {occupation!r} is not in the truncated basis"
-            ) from None
+        width = self.words.shape[1]
+        if len(word) <= width:
+            row = np.full((1, width), -1, dtype=np.int64)
+            row[0, : len(word)] = word
+            key = self._key(row)[0]
+            i = int(np.searchsorted(self._keys, key))
+            if i < self.dimension and self._keys[i] == key:
+                return i
+        raise StateLookupError(
+            f"occupation {occupation!r} is not in the truncated basis"
+        )
 
     def state_at(self, ordinal: int) -> tuple:
         """Nondecreasing mode-index word of basis state `ordinal`."""
-        return self.states[ordinal]
+        row = self.words[ordinal]
+        return tuple(row[row >= 0].tolist())
 
     def occupation_of(self, ordinal: int) -> dict:
         occ = {}
-        for mode in self.states[ordinal]:
+        for mode in self.state_at(ordinal):
             occ[mode] = occ.get(mode, 0) + 1
         return occ
 
-    def one_boson_index(self, mode: int) -> int | None:
-        return self._index.get((mode,))
-
     def one_boson_ordinals(self) -> np.ndarray:
         """Ordinal of each mode's one-boson state; -1 where truncated away."""
-        if getattr(self, "_one_boson", None) is None:
-            out = np.full(self.grid.n_modes, -1, dtype=np.int64)
-            for mode in range(self.grid.n_modes):
-                ordinal = self._index.get((mode,))
-                if ordinal is not None:
-                    out[mode] = ordinal
-            self._one_boson = out
-        return self._one_boson
+        out = np.full(self.grid.n_modes, -1, dtype=np.int64)
+        state, _, modes, _ = self._table
+        single = self.boson_count[state] == 1
+        out[modes[single]] = state[single]
+        return out
 
     def vacuum_vector(self) -> np.ndarray:
         vec = np.zeros(self.dimension)
@@ -133,8 +167,9 @@ class FockBasis:
     def dgamma_diagonal(self, mode_weights) -> np.ndarray:
         """Diagonal of dGamma(w): per state, sum of count * w(mode)."""
         w = np.asarray(mode_weights, dtype=float)
-        vals = self._entry_count * w[self._entry_mode]
-        return np.bincount(self._entry_state, weights=vals, minlength=self.dimension)
+        state, _, modes, _ = self._table
+        vals = self._counts * w[modes]
+        return np.bincount(state, weights=vals, minlength=self.dimension)
 
     def dgamma_vector_diagonal(self, mode_vectors) -> np.ndarray:
         """Per-state vector sum of count * v(mode); shape (dim, 3)."""
@@ -148,66 +183,36 @@ class FockBasis:
         """All single-boson-removal transitions (rows, cols, modes, amps).
 
         For each state j and occupied mode m with count c, the state i with
-        one fewer boson at m satisfies  b†_m |i> = sqrt(c) |j>.  Reused for
-        interaction assembly, per-mode ladder matrices, and smeared-operator
-        expectations.
+        one fewer boson at m satisfies  b†_m |i> = sqrt(c) |j>.  Ordered by
+        state, then mode.  Reused for interaction assembly and
+        smeared-operator expectations.
         """
-        if self._transitions is None:
-            rows, cols, modes, amps = [], [], [], []
-            for j, word in enumerate(self.states):
-                if not word:
-                    continue
-                for pos, mode in enumerate(word):
-                    if pos > 0 and word[pos - 1] == mode:
-                        continue  # one transition per distinct mode
-                    reduced = word[:pos] + word[pos + 1 :]
-                    i = self._index[reduced]
-                    count = word.count(mode)
-                    rows.append(j)
-                    cols.append(i)
-                    modes.append(mode)
-                    amps.append(math.sqrt(count))
-            self._transitions = (
-                np.asarray(rows, dtype=np.int64),
-                np.asarray(cols, dtype=np.int64),
-                np.asarray(modes, dtype=np.int64),
-                np.asarray(amps, dtype=np.float64),
-            )
-        return self._transitions
+        return self._table
 
 
-def _enumerate_with_energy_cut(mode_energy, n_max, e_cut, budget):
-    """Nondecreasing mode words with total energy <= e_cut, graded order."""
-    suffix_min = np.minimum.accumulate(mode_energy[::-1])[::-1]
-    states = [()]
-    # graded: generate per boson count so the order matches the no-cut path
-    for n in range(1, n_max + 1):
-        count_before = len(states)
-        for word in _graded_energy_level(mode_energy, suffix_min, n, e_cut):
-            states.append(word)
-            if len(states) > budget:
-                raise BasisSizeError(len(states), budget)
-        if len(states) == count_before and n > 1:
-            break  # higher levels only add energy
-    return states
+def _extend(parents, energy, mode_energy, limit):
+    """Blocks of words one boson longer than `parents`, with energy <= limit.
 
-
-def _graded_energy_level(mode_energy, suffix_min, n, e_cut):
+    Each parent word is extended by every mode >= its last mode, and the
+    energy accumulates in word order.  Parents in lexicographic order give
+    children in lexicographic order.  Yields (words, energies) per block of
+    at most CANDIDATE_BLOCK candidates (one parent's worth at least).
+    """
     n_modes = len(mode_energy)
-    tol = 1e-12 * max(1.0, abs(e_cut))
-
-    def rec(start, depth, energy, word):
-        if depth == n:
-            yield word
-            return
-        remaining = n - depth
-        for mode in range(start, n_modes):
-            e = energy + mode_energy[mode]
-            if e + (remaining - 1) * suffix_min[mode] > e_cut + tol:
-                continue
-            yield from rec(mode, depth + 1, e, word + (mode,))
-
-    yield from rec(0, 0, 0.0, ())
+    first = parents[:, -1] if parents.shape[1] else np.zeros(len(parents), np.int64)
+    counts = n_modes - first
+    ends = np.cumsum(counts)
+    begins = ends - counts
+    lo = 0
+    while lo < len(parents):
+        done = begins[lo]
+        hi = max(lo + 1, int(np.searchsorted(ends, done + CANDIDATE_BLOCK, "right")))
+        parent = np.repeat(np.arange(lo, hi), counts[lo:hi])
+        mode = first[parent] + np.arange(done, ends[hi - 1]) - begins[parent]
+        e = energy[parent] + mode_energy[mode]
+        keep = e <= limit
+        yield np.hstack([parents[parent[keep]], mode[keep, None]]), e[keep]
+        lo = hi
 
 
 def build_basis(
@@ -216,52 +221,42 @@ def build_basis(
     e_cut: float | None = None,
     max_dim: int = DEFAULT_DIM_BUDGET,
 ) -> FockBasis:
-    """Enumerate all admissible occupations in the frozen canonical order."""
+    """Enumerate all admissible occupations in the frozen canonical order.
+
+    Level n holds the n-boson words.  With an energy cut, a word is kept when
+    its energy, summed in word order, is at most e_cut (plus a relative
+    1e-12 slack); every prefix of a kept word is kept too, since mode
+    energies are nonnegative, so each level extends the one before.
+    """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    n_modes = grid.n_modes
     if e_cut is None:
-        dim = untruncated_dimension(n_modes, n_max)
+        dim = untruncated_dimension(grid.n_modes, n_max)
         if dim > max_dim:
             raise BasisSizeError(dim, max_dim)
-        states = []
-        for n in range(n_max + 1):
-            states.extend(itertools.combinations_with_replacement(range(n_modes), n))
+        limit = math.inf
     else:
-        states = _enumerate_with_energy_cut(
-            grid.magnitudes, n_max, float(e_cut), max_dim
-        )
-    index = {word: i for i, word in enumerate(states)}
-    return FockBasis(grid=grid, n_max=n_max, e_cut=e_cut, states=states, _index=index)
-
-
-def ladder_matrix(basis: FockBasis, mode: int) -> sparse.csr_matrix:
-    """Creation matrix b†_mode on the truncated basis (real, sparse).
-
-    Amplitude sqrt(n_mode + 1) toward the one-more-boson state; images outside
-    the truncation are dropped.  Annihilation is the transpose.
-    """
-    if not 0 <= mode < basis.grid.n_modes:
-        raise ValueError(f"mode {mode} out of range")
-    rows, cols, modes, amps = basis.transitions()
-    mask = modes == mode
-    dim = basis.dimension
-    return sparse.csr_matrix(
-        (amps[mask], (rows[mask], cols[mask])), shape=(dim, dim)
+        limit = float(e_cut) + 1e-12 * max(1.0, abs(float(e_cut)))
+    levels = [np.zeros((1, 0), dtype=np.int64)]
+    energy = np.zeros(1)
+    dim = 1
+    for _ in range(n_max):
+        blocks = []
+        for block in _extend(levels[-1], energy, grid.magnitudes, limit):
+            dim += len(block[0])
+            if dim > max_dim:
+                raise BasisSizeError(dim, max_dim)
+            blocks.append(block)
+        words = np.concatenate([w for w, _ in blocks])
+        if len(words) == 0:
+            break  # longer words only add energy
+        levels.append(words)
+        energy = np.concatenate([e for _, e in blocks])
+    width = len(levels) - 1
+    words = np.concatenate(
+        [
+            np.pad(w, ((0, 0), (0, width - w.shape[1])), constant_values=-1)
+            for w in levels
+        ]
     )
-
-
-class LadderMatrices:
-    """Lazy per-mode cache of creation matrices on a fixed basis."""
-
-    def __init__(self, basis: FockBasis):
-        self.basis = basis
-        self._cache = {}
-
-    def creation(self, mode: int) -> sparse.csr_matrix:
-        if mode not in self._cache:
-            self._cache[mode] = ladder_matrix(self.basis, mode)
-        return self._cache[mode]
-
-    def annihilation(self, mode: int) -> sparse.csr_matrix:
-        return self.creation(mode).T.tocsr()
+    return FockBasis(grid=grid, n_max=n_max, e_cut=e_cut, words=words)

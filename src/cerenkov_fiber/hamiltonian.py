@@ -1,4 +1,4 @@
-"""Assembly of the fiber Hamiltonian and second-quantized operators.
+"""Assembly of the fiber Hamiltonian and its displacement operator.
 
 All operators are real sparse matrices on the truncated occupation basis.
 Off-diagonal blocks are appended in symmetric pairs from a single computed
@@ -18,38 +18,12 @@ from cerenkov_fiber.grids import MomentumGrid
 
 @dataclass
 class SparseHermitianOperator:
-    """Real symmetric sparse operator with its assembly-time symmetry flag."""
+    """Real symmetric sparse operator, exactly symmetric by assembly."""
 
     matrix: sparse.csr_matrix
-    symmetric: bool = True
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-    def matvec(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ vec
-
-    def expectation(self, vec: np.ndarray) -> float:
-        return float(vec @ (self.matrix @ vec))
-
-    def diagonal(self) -> np.ndarray:
-        return self.matrix.diagonal()
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
-
-    def max_asymmetry(self) -> float:
-        diff = self.matrix - self.matrix.T
-        return 0.0 if diff.nnz == 0 else float(np.max(np.abs(diff.data)))
-
-    def dump_triplets(self, path) -> None:
-        """Text triplet dump (row, col, value) for external verification."""
-        coo = self.matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        with open(path, "w") as fh:
-            for i in order:
-                fh.write(f"{coo.row[i]} {coo.col[i]} {repr(float(coo.data[i]))}\n")
 
 
 @dataclass
@@ -68,18 +42,10 @@ class FiberParams:
             raise ValueError("P and g must be finite")
 
 
-def _diagonal_operator(values: np.ndarray) -> SparseHermitianOperator:
-    return SparseHermitianOperator(sparse.diags(values, format="csr"))
-
-
 def free_fiber_diagonal(params: FiberParams) -> np.ndarray:
     """Per-state free energy (P - sum n k)^2 / 2 + sum n |k|."""
     diff = params.P[None, :] - params.basis.total_momentum
     return 0.5 * np.einsum("sd,sd->s", diff, diff) + params.basis.free_field_energy
-
-
-def build_free_fiber(params: FiberParams) -> SparseHermitianOperator:
-    return _diagonal_operator(free_fiber_diagonal(params))
 
 
 def interaction_coefficients(
@@ -133,21 +99,3 @@ def build_fiber_hamiltonian(params: FiberParams) -> SparseHermitianOperator:
     mat = (diag + params.g * build_interaction(params).matrix).tocsr()
     mat.eliminate_zeros()
     return SparseHermitianOperator(mat)
-
-
-def build_field_momentum(basis: FockBasis):
-    """Three diagonal operators, the components of the field momentum."""
-    return tuple(
-        _diagonal_operator(basis.total_momentum[:, d]) for d in range(3)
-    )
-
-
-def build_field_energy(basis: FockBasis) -> SparseHermitianOperator:
-    return _diagonal_operator(basis.free_field_energy)
-
-
-def build_number_weighted(basis: FockBasis, mode_weights) -> SparseHermitianOperator:
-    """dGamma(w) for a per-mode weight array or callable on mode wavevectors."""
-    if callable(mode_weights):
-        mode_weights = mode_weights(basis.grid.k)
-    return _diagonal_operator(basis.dgamma_diagonal(mode_weights))

@@ -1,8 +1,7 @@
 """Expectation values of number, momentum, and energy observables on states.
 
-All observables here are diagonal on the occupation basis except the
-gradient formula, which combines the total momentum with the diagonal field
-momentum.  Functions are pure and safe for concurrent use.
+All observables here are diagonal on the occupation basis.  Functions are
+pure and safe for concurrent use.
 """
 
 import warnings
@@ -52,25 +51,3 @@ def expect_field_momentum_sq(state, basis: FockBasis) -> float:
     psi = _normalized(state, "expect_field_momentum_sq")
     sq = np.einsum("sd,sd->s", basis.total_momentum, basis.total_momentum)
     return float(np.sum(psi * psi * sq))
-
-
-def feynman_hellmann_grad(
-    state,
-    P,
-    basis: FockBasis,
-    residual_norm: float | None = None,
-    residual_tol: float = 1e-6,
-) -> np.ndarray:
-    """Gradient of the eigenvalue with respect to P: P - <P^f>.
-
-    Valid on converged eigenvectors; warns when the supplied eigen-residual
-    exceeds `residual_tol`.
-    """
-    if residual_norm is not None and residual_norm > residual_tol:
-        warnings.warn(
-            f"eigen-residual {residual_norm:.3e} above {residual_tol:.1e}; "
-            "gradient may be unreliable",
-            stacklevel=2,
-        )
-    P = np.asarray(P, dtype=float).reshape(3)
-    return P - expect_field_momentum(state, basis)

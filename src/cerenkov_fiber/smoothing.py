@@ -31,3 +31,20 @@ def bump(z):
     z = np.asarray(z, dtype=float)
     core = np.maximum(1.0 - z * z, 0.0)
     return core * core * core
+
+
+def plateau_ramp(edges, r):
+    """Plateau weight and its r-derivative for edges (a0, a1, b1, b0).
+
+    The weight is 1 on [a1, b1] and 0 outside [a0, b0], with a quintic ramp
+    on each side.
+    """
+    a0, a1, b1, b0 = edges
+    r = np.asarray(r, dtype=float)
+    t_up = (r - a0) / (a1 - a0)
+    t_down = (b0 - r) / (b0 - b1)
+    up = smootherstep(t_up)
+    down = smootherstep(t_down)
+    dup = smootherstep_derivative(t_up) / (a1 - a0)
+    ddown = smootherstep_derivative(t_down) * (-1.0 / (b0 - b1))
+    return up * down, dup * down + up * ddown

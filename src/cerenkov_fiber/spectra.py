@@ -1,20 +1,18 @@
 """Mass-shell curves, gradients, perturbative oracles, and overlap spectra.
 
 `FiberModel` bundles one discretized model (grid, basis, coupling profile)
-and hands out Hamiltonians and eigenpairs; scans reuse it across momenta.
-Scan points are embarrassingly parallel; the thread count is capped by the
-CERENKOV_FIBER_THREADS environment variable and output rows are ordered by
-|P| regardless of completion order.
+and hands out Hamiltonians and eigenpairs; scans reuse it across momenta
+and solve their points one after another, in increasing |P|.
 """
 
 import json
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse.linalg
 
 from cerenkov_fiber import cerenkov
 from cerenkov_fiber.fock import FockBasis
@@ -232,15 +230,6 @@ class MassShellScan:
             fh.write("\n")
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("CERENKOV_FIBER_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        warnings.warn(f"ignoring malformed CERENKOV_FIBER_THREADS={raw!r}")
-        return 1
-
-
 def mass_shell_scan(
     model: FiberModel,
     p_min: float,
@@ -298,12 +287,7 @@ def mass_shell_scan(
             row.shell_numbers = [math.nan] * n_shell_max
         return row
 
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(point, p_values))
-    else:
-        rows = [point(p) for p in p_values]
+    rows = [point(p) for p in p_values]
     return MassShellScan(
         rows=rows, g=g, n_shell_max=n_shell_max, fingerprint=fingerprint
     )
@@ -360,23 +344,22 @@ def vacuum_overlap_distribution(
     lo, hi = window
 
     if dim <= model.dense_cutoff:
-        import scipy.linalg
-
         vals, vecs = scipy.linalg.eigh(model.hamiltonian(P, g).to_dense())
         all_weights = vecs[0, :] ** 2
     else:
         # iterative fallback: grow a shift-invert window around the center
-        from scipy.sparse.linalg import eigsh
-
         mat = model.hamiltonian(P, g).matrix.tocsc()
         # fixed seed for reproducible files; not the uniform vector, which
         # has no component outside the fully symmetric sector
         v0 = np.random.default_rng(0).standard_normal(dim)
         k = max(min_pairs, 32)
         while True:
-            vals, vecs = eigsh(
-                mat, k=min(k, dim - 2), sigma=center, which="LM", v0=v0
-            )
+            try:
+                vals, vecs = scipy.sparse.linalg.eigsh(
+                    mat, k=min(k, dim - 2), sigma=center, which="LM", v0=v0
+                )
+            except scipy.sparse.linalg.ArpackNoConvergence as exc:
+                raise EigensolverError(f"overlap shift-invert solve: {exc}") from exc
             order = np.argsort(vals)
             vals, vecs = vals[order], vecs[:, order]
             all_weights = vecs[0, :] ** 2

@@ -27,13 +27,14 @@ import numpy as np
 
 from cerenkov_fiber.fock import FockBasis
 from cerenkov_fiber.formfactor import FormFactor
-from cerenkov_fiber.hamiltonian import displacement_expectation, free_fiber_diagonal
-from cerenkov_fiber.observables import (
-    expect_field_energy,
-    expect_field_momentum,
-    expect_field_momentum_sq,
+from cerenkov_fiber.hamiltonian import (
+    FiberParams,
+    displacement_expectation,
+    free_fiber_diagonal,
+    interaction_coefficients,
 )
-from cerenkov_fiber.smoothing import smootherstep, smootherstep_derivative
+from cerenkov_fiber.observables import expect_field_momentum_sq
+from cerenkov_fiber.smoothing import plateau_ramp
 from cerenkov_fiber.weights import (
     ConeSpec,
     ShellSpec,
@@ -68,27 +69,22 @@ class DilationSpec:
             raise DilationParameterError("kappa must be positive")
 
 
+def _kappa_edges(kappa: float) -> tuple:
+    lo = 1.0 / kappa
+    return (0.5 * lo, lo, kappa, 2.0 * kappa)
+
+
 def kappa_window(kappa: float, r):
     """Smooth indicator of [1/kappa, kappa], supported in [1/(2 kappa), 2 kappa]."""
     if math.isinf(kappa):
         return np.ones_like(np.asarray(r, dtype=float))
-    r = np.asarray(r, dtype=float)
-    lo, hi = 1.0 / kappa, kappa
-    up = smootherstep((r - 0.5 * lo) / (lo - 0.5 * lo))
-    down = smootherstep((2.0 * hi - r) / (2.0 * hi - hi))
-    return up * down
+    return plateau_ramp(_kappa_edges(kappa), r)[0]
 
 
 def kappa_window_derivative(kappa: float, r):
     if math.isinf(kappa):
         return np.zeros_like(np.asarray(r, dtype=float))
-    r = np.asarray(r, dtype=float)
-    lo, hi = 1.0 / kappa, kappa
-    up = smootherstep((r - 0.5 * lo) / (0.5 * lo))
-    down = smootherstep((2.0 * hi - r) / hi)
-    dup = smootherstep_derivative((r - 0.5 * lo) / (0.5 * lo)) / (0.5 * lo)
-    ddown = smootherstep_derivative((2.0 * hi - r) / hi) * (-1.0 / hi)
-    return dup * down + up * ddown
+    return plateau_ramp(_kappa_edges(kappa), r)[1]
 
 
 def _window_profiles(ff: FormFactor, spec: DilationSpec, r):
@@ -102,11 +98,6 @@ def _window_profiles(ff: FormFactor, spec: DilationSpec, r):
         chi = np.ones_like(r)
         dchi = np.zeros_like(r)
     else:
-        if spec.kappa <= max(ff.cutoff, 1.0):
-            raise DilationParameterError(
-                f"kappa={spec.kappa} must exceed max(cutoff, 1) = "
-                f"{max(ff.cutoff, 1.0)}"
-            )
         chi = kappa_window(spec.kappa, r)
         dchi = kappa_window_derivative(spec.kappa, r)
     return rho, drho, chi, dchi
@@ -319,8 +310,6 @@ def energy_identity_residual(
     psi = np.asarray(state, dtype=float)
     P = np.asarray(P, dtype=float).reshape(3)
     grid = basis.grid
-    from cerenkov_fiber.hamiltonian import FiberParams, interaction_coefficients
-
     params = FiberParams(P=P, g=g, grid=grid, basis=basis, form_factor=form_factor)
     h_free = float(np.sum(psi * psi * free_fiber_diagonal(params)))
     phi = displacement_expectation(
@@ -345,14 +334,3 @@ def energy_identity_residual(
         mode="parallel",
         eigen_residual=eigen_residual,
     )
-
-
-def kappa_infinity_terms(state, P, basis: FockBasis) -> dict:
-    """The three diagonal terms of the kappa = inf identity, for reports."""
-    return {
-        "field_energy": expect_field_energy(state, basis),
-        "field_momentum_sq": expect_field_momentum_sq(state, basis),
-        "drift": float(
-            np.asarray(P, dtype=float) @ expect_field_momentum(state, basis)
-        ),
-    }

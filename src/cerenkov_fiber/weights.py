@@ -16,6 +16,7 @@ import numpy as np
 
 from cerenkov_fiber.smoothing import (
     SMOOTHERSTEP_MAX_SLOPE,
+    plateau_ramp,
     smootherstep,
     smootherstep_derivative,
 )
@@ -55,22 +56,12 @@ class ShellSpec:
 
 def shell_weight(spec: ShellSpec, r):
     """chi_n(r): 1 on [1/(n+1), 1/n], 0 outside the ramped support."""
-    a0, a1, b1, b0 = spec.edges
-    r = np.asarray(r, dtype=float)
-    up = smootherstep((r - a0) / (a1 - a0))
-    down = smootherstep((b0 - r) / (b0 - b1))
-    out = up * down
+    out = plateau_ramp(spec.edges, r)[0]
     return out if out.ndim else float(out)
 
 
 def shell_weight_derivative(spec: ShellSpec, r):
-    a0, a1, b1, b0 = spec.edges
-    r = np.asarray(r, dtype=float)
-    up = smootherstep((r - a0) / (a1 - a0))
-    down = smootherstep((b0 - r) / (b0 - b1))
-    dup = smootherstep_derivative((r - a0) / (a1 - a0)) / (a1 - a0)
-    ddown = smootherstep_derivative((b0 - r) / (b0 - b1)) * (-1.0 / (b0 - b1))
-    out = dup * down + up * ddown
+    out = plateau_ramp(spec.edges, r)[1]
     return out if out.ndim else float(out)
 
 

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 from cerenkov_fiber.cli import EXIT_SOLVER, EXIT_VALIDATION, main
 from cerenkov_fiber.config import load_config, make_model
@@ -132,6 +134,26 @@ def test_overlap_shift_invert_outputs_reproduce(tmp_path):
             "--p", "1.5,0,0", "--g", "0.05",
         ]) == 0
     assert (out1 / "overlap.csv").read_bytes() == (out2 / "overlap.csv").read_bytes()
+
+
+def test_overlap_shift_invert_failure_exit_code(tmp_path, capsys, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence(
+            "ARPACK error -1: No convergence", np.zeros(0), np.zeros((0, 0))
+        )
+
+    cfg = dict(radial_count=4, polar_count=3, n_max=2, experiment={"dense_cutoff": 10})
+    path = tmp_path / "overlap.json"
+    path.write_text(json.dumps(cfg))
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    code = run([
+        "overlap", "--config", str(path), "--out", str(tmp_path),
+        "--p", "1.5,0,0", "--g", "0.05",
+    ])
+    assert code == EXIT_SOLVER
+    lines = capsys.readouterr().err.strip().split("\n")
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "solver"
 
 
 def test_scan_and_virial_on_symmetric_grid(tmp_path):

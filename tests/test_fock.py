@@ -1,17 +1,84 @@
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
+from cerenkov_fiber import fock
 from cerenkov_fiber.fock import (
     BasisSizeError,
-    LadderMatrices,
     StateLookupError,
     build_basis,
-    ladder_matrix,
     untruncated_dimension,
 )
-from cerenkov_fiber.grids import AngularSpec, RadialSpec, build_grid
+from cerenkov_fiber.grids import AngularSpec, MomentumGrid, RadialSpec, build_grid
+
+
+def all_states(basis):
+    return [basis.state_at(i) for i in range(basis.dimension)]
+
+
+def transitions_oracle(basis):
+    """Single-boson-removal table by a loop over the words, with a dict index."""
+    states = all_states(basis)
+    index = {word: i for i, word in enumerate(states)}
+    rows, cols, modes, amps = [], [], [], []
+    for j, word in enumerate(states):
+        for pos, mode in enumerate(word):
+            if pos > 0 and word[pos - 1] == mode:
+                continue  # one transition per distinct mode
+            reduced = word[:pos] + word[pos + 1 :]
+            rows.append(j)
+            cols.append(index[reduced])
+            modes.append(mode)
+            amps.append(math.sqrt(word.count(mode)))
+    return (
+        np.asarray(rows, dtype=np.int64),
+        np.asarray(cols, dtype=np.int64),
+        np.asarray(modes, dtype=np.int64),
+        np.asarray(amps, dtype=np.float64),
+    )
+
+
+def one_boson_oracle(basis):
+    index = {word: i for i, word in enumerate(all_states(basis))}
+    return np.array([index.get((m,), -1) for m in range(basis.grid.n_modes)])
+
+
+def ladder_matrix(basis, mode: int) -> sparse.csr_matrix:
+    """Creation matrix b†_mode on the truncated basis (real, sparse).
+
+    Amplitude sqrt(n_mode + 1) toward the one-more-boson state; images outside
+    the truncation are dropped.  Annihilation is the transpose.
+    """
+    if not 0 <= mode < basis.grid.n_modes:
+        raise ValueError(f"mode {mode} out of range")
+    rows, cols, modes, amps = basis.transitions()
+    mask = modes == mode
+    dim = basis.dimension
+    return sparse.csr_matrix(
+        (amps[mask], (rows[mask], cols[mask])), shape=(dim, dim)
+    )
+
+
+class LadderMatrices:
+    """Lazy per-mode cache of creation matrices on a fixed basis."""
+
+    def __init__(self, basis):
+        self.basis = basis
+        self._cache = {}
+
+    def creation(self, mode: int) -> sparse.csr_matrix:
+        if mode not in self._cache:
+            self._cache[mode] = ladder_matrix(self.basis, mode)
+        return self._cache[mode]
+
+    def annihilation(self, mode: int) -> sparse.csr_matrix:
+        return self.creation(mode).T.tocsr()
 
 
 def two_mode_grid():
@@ -42,7 +109,7 @@ def test_vacuum_only_basis():
     grid = two_mode_grid()
     basis = build_basis(grid, 0)
     assert basis.dimension == 1
-    assert basis.states[0] == ()
+    assert basis.state_at(0) == ()
 
 
 def test_three_modes_single_boson():
@@ -54,7 +121,7 @@ def test_three_modes_single_boson():
 def test_canonical_order_graded_then_lexicographic():
     grid = two_mode_grid()
     basis = build_basis(grid, 2)
-    assert basis.states == [(), (0,), (1,), (0, 0), (0, 1), (1, 1)]
+    assert all_states(basis) == [(), (0,), (1,), (0, 0), (0, 1), (1, 1)]
 
 
 def test_index_roundtrip_all_states(small_basis):
@@ -80,9 +147,9 @@ def test_energy_cut_prunes_and_orders():
     basis = build_basis(grid, 3, e_cut=cut)
     full = build_basis(grid, 3)
     expected = [
-        w for w in full.states if sum(grid.magnitudes[m] for m in w) <= cut + 1e-12
+        w for w in all_states(full) if sum(grid.magnitudes[m] for m in w) <= cut + 1e-12
     ]
-    assert basis.states == expected
+    assert all_states(basis) == expected
     assert basis.dimension < full.dimension
 
 
@@ -92,6 +159,24 @@ def test_basis_budget_failure_reports_dimension():
         build_basis(grid, 3, max_dim=100)
     assert err.value.dimension > 100
     assert str(err.value.dimension) in str(err.value)
+    with pytest.raises(BasisSizeError) as err:
+        build_basis(grid, 3, e_cut=2.0, max_dim=100)
+    assert err.value.dimension > 100
+
+
+def test_state_key_overflow_is_refused():
+    # 10^4 modes of which only mode 0 fits under the cut, five times: six
+    # states, but 5-boson keys in base 10^4 + 1 do not fit in int64
+    k = np.zeros((10_000, 3))
+    k[:, 2] = 1.0
+    k[0, 2] = 0.01
+    grid = MomentumGrid(
+        k=k, vol=np.ones(10_000), k_min=0.01, k_max=1.0,
+        radial_nodes=10_000, angular_nodes=1,
+    )
+    assert build_basis(grid, 4, e_cut=0.05).dimension == 5
+    with pytest.raises(ValueError, match="overflow"):
+        build_basis(grid, 5, e_cut=0.05)
 
 
 def test_creation_on_vacuum(small_basis):
@@ -170,3 +255,63 @@ def test_one_boson_ordinals(small_basis):
     ords = small_basis.one_boson_ordinals()
     for mode in range(small_basis.grid.n_modes):
         assert ords[mode] == small_basis.index_of((mode,))
+
+
+grid_shapes = dict(
+    radial=st.integers(1, 3),
+    polar=st.integers(1, 2),
+    azimuthal=st.integers(1, 2),
+    n_max=st.integers(0, 4),
+    e_cut=st.one_of(st.none(), st.floats(-0.2, 2.5)),
+)
+
+
+def random_basis(radial, polar, azimuthal, n_max, e_cut):
+    grid = build_grid(RadialSpec(0.1, 1.0, radial), AngularSpec(polar, azimuthal))
+    return build_basis(grid, n_max, e_cut)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**grid_shapes)
+def test_basis_equals_brute_force_filter(radial, polar, azimuthal, n_max, e_cut):
+    basis = random_basis(radial, polar, azimuthal, n_max, e_cut)
+    mags = basis.grid.magnitudes
+    limit = math.inf if e_cut is None else e_cut + 1e-12 * max(1.0, abs(e_cut))
+    expected = [
+        word
+        for n in range(n_max + 1)
+        for word in itertools.combinations_with_replacement(range(len(mags)), n)
+        if not word or sum(mags[m] for m in word) <= limit  # vacuum always in
+    ]
+    assert all_states(basis) == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(**grid_shapes)
+def test_index_of_inverts_state_at(radial, polar, azimuthal, n_max, e_cut):
+    basis = random_basis(radial, polar, azimuthal, n_max, e_cut)
+    for i in range(basis.dimension):
+        assert basis.index_of(basis.state_at(i)) == i
+
+
+@settings(max_examples=25, deadline=None)
+@given(**grid_shapes)
+def test_transitions_match_loop_oracle(radial, polar, azimuthal, n_max, e_cut):
+    basis = random_basis(radial, polar, azimuthal, n_max, e_cut)
+    for got, want in zip(basis.transitions(), transitions_oracle(basis)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert np.array_equal(basis.one_boson_ordinals(), one_boson_oracle(basis))
+
+
+@settings(max_examples=25, deadline=None)
+@given(block=st.integers(1, 40), **grid_shapes)
+def test_candidate_blocks_do_not_change_basis(
+    block, radial, polar, azimuthal, n_max, e_cut
+):
+    whole = random_basis(radial, polar, azimuthal, n_max, e_cut)
+    with mock.patch.object(fock, "CANDIDATE_BLOCK", block):
+        blocked = random_basis(radial, polar, azimuthal, n_max, e_cut)
+    assert np.array_equal(blocked.words, whole.words)
+    for a, b in zip(blocked.transitions(), whole.transitions()):
+        assert np.array_equal(a, b)

@@ -1,21 +1,64 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from cerenkov_fiber.fock import build_basis
+from cerenkov_fiber.formfactor import FormFactor
 from cerenkov_fiber.grids import AngularSpec, MomentumGrid, RadialSpec, build_grid
 from cerenkov_fiber.hamiltonian import (
     FiberParams,
     build_displacement,
     build_fiber_hamiltonian,
-    build_field_energy,
-    build_field_momentum,
-    build_free_fiber,
     build_interaction,
-    build_number_weighted,
     displacement_expectation,
     free_fiber_diagonal,
     interaction_coefficients,
 )
+from cerenkov_fiber.spectra import FiberModel
+
+
+def _diagonal_operator(values: np.ndarray) -> sparse.csr_matrix:
+    return sparse.diags(values, format="csr")
+
+
+def build_free_fiber(params: FiberParams) -> sparse.csr_matrix:
+    return _diagonal_operator(free_fiber_diagonal(params))
+
+
+def build_field_momentum(basis):
+    """Three diagonal operators, the components of the field momentum."""
+    return tuple(
+        _diagonal_operator(basis.total_momentum[:, d]) for d in range(3)
+    )
+
+
+def build_field_energy(basis) -> sparse.csr_matrix:
+    return _diagonal_operator(basis.free_field_energy)
+
+
+def build_number_weighted(basis, mode_weights) -> sparse.csr_matrix:
+    """dGamma(w) for a per-mode weight array."""
+    return _diagonal_operator(basis.dgamma_diagonal(mode_weights))
+
+
+def max_asymmetry(matrix) -> float:
+    diff = matrix - matrix.T
+    return 0.0 if diff.nnz == 0 else float(np.max(np.abs(diff.data)))
+
+
+def expectation(matrix, vec: np.ndarray) -> float:
+    return float(vec @ (matrix @ vec))
+
+
+def dump_triplets(matrix, path) -> None:
+    """Text triplet dump (row, col, value) for external verification."""
+    coo = matrix.tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    with open(path, "w") as fh:
+        for i in order:
+            fh.write(f"{coo.row[i]} {coo.col[i]} {repr(float(coo.data[i]))}\n")
 
 
 def make_params(grid, basis, ff, P=(0.5, 0.0, 0.0), g=0.1):
@@ -73,7 +116,7 @@ def test_modes_beyond_cutoff_give_zero_rows(default_ff):
 def test_hamiltonian_reduces_to_free_at_zero_coupling(small_grid, small_basis, default_ff):
     params = make_params(small_grid, small_basis, default_ff, g=0.0)
     h = build_fiber_hamiltonian(params).matrix
-    free = build_free_fiber(params).matrix
+    free = build_free_fiber(params)
     assert (h != free).nnz == 0
 
 
@@ -91,8 +134,8 @@ def test_two_by_two_resonant_block(single_mode_setup):
 
 def test_exact_symmetry(small_grid, small_basis, default_ff):
     params = make_params(small_grid, small_basis, default_ff, P=(0.3, 0.1, 0.7), g=0.2)
-    h = build_fiber_hamiltonian(params)
-    assert h.max_asymmetry() == 0.0
+    h = build_fiber_hamiltonian(params).matrix
+    assert max_asymmetry(h) == 0.0
 
 
 def test_sector_structure(small_grid, small_basis, default_ff):
@@ -154,9 +197,9 @@ def test_displacement_expectation_matches_matrix(small_grid, small_basis, defaul
     coeffs = interaction_coefficients(small_grid, default_ff)
     psi = rng.normal(size=small_basis.dimension)
     psi /= np.linalg.norm(psi)
-    op = build_displacement(small_basis, coeffs)
+    op = build_displacement(small_basis, coeffs).matrix
     assert displacement_expectation(small_basis, coeffs, psi) == pytest.approx(
-        op.expectation(psi), abs=1e-12
+        expectation(op, psi), abs=1e-12
     )
 
 
@@ -165,7 +208,7 @@ def test_triplet_dump(tmp_path, single_mode_setup):
     params = make_params(grid, basis, ff, P=(1.5, 0, 0), g=0.3)
     h = build_fiber_hamiltonian(params)
     path = tmp_path / "h.txt"
-    h.dump_triplets(path)
+    dump_triplets(h.matrix, path)
     rows = [line.split() for line in path.read_text().strip().split("\n")]
     dense = h.to_dense()
     rebuilt = np.zeros_like(dense)
@@ -177,3 +220,37 @@ def test_triplet_dump(tmp_path, single_mode_setup):
 def test_params_validation(small_grid, small_basis, default_ff):
     with pytest.raises(ValueError):
         make_params(small_grid, small_basis, default_ff, P=(np.inf, 0, 0))
+
+
+random_models = dict(
+    radial=st.integers(1, 3),
+    polar=st.integers(1, 2),
+    azimuthal=st.integers(1, 3),
+    n_max=st.integers(1, 3),
+    e_cut=st.one_of(st.none(), st.floats(0.0, 2.5)),
+    P=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+    g=st.floats(-1.0, 1.0),
+)
+
+
+def random_params(radial, polar, azimuthal, n_max, e_cut, P, g):
+    grid = build_grid(RadialSpec(0.1, 1.0, radial), AngularSpec(polar, azimuthal))
+    basis = build_basis(grid, n_max, e_cut)
+    return make_params(grid, basis, FormFactor(cutoff=2.0), P=P, g=g)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**random_models)
+def test_hamiltonian_exactly_symmetric(radial, polar, azimuthal, n_max, e_cut, P, g):
+    params = random_params(radial, polar, azimuthal, n_max, e_cut, P, g)
+    assert max_asymmetry(build_fiber_hamiltonian(params).matrix) == 0.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(**random_models)
+def test_ground_energy_below_bare_energy(radial, polar, azimuthal, n_max, e_cut, P, g):
+    # the vacuum is a trial state with energy P^2/2
+    params = random_params(radial, polar, azimuthal, n_max, e_cut, P, g)
+    model = FiberModel(params.grid, params.basis, params.form_factor)
+    e0 = model.lowest(params.P, g).ground_energy
+    assert e0 <= 0.5 * float(params.P @ params.P) + 1e-12

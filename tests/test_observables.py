@@ -6,10 +6,11 @@ from cerenkov_fiber.observables import (
     expect_field_momentum,
     expect_field_momentum_sq,
     expect_number,
-    feynman_hellmann_grad,
 )
 from cerenkov_fiber.fock import build_basis
 from cerenkov_fiber.grids import MomentumGrid
+from cerenkov_fiber.solver import SpectralResult
+from cerenkov_fiber.spectra import fh_gradient
 from cerenkov_fiber.weights import ConeSpec, ShellSpec, mode_weights
 
 
@@ -109,14 +110,9 @@ def test_shell_exhaustion_bounds_total_number():
 
 def test_feynman_hellmann_on_vacuum(small_basis):
     vac = small_basis.vacuum_vector()
-    grad = feynman_hellmann_grad(vac, (0.5, 0.0, 0.0), small_basis)
+    result = SpectralResult(np.array([0.125]), vac[:, None], np.zeros(1), "dense")
+    grad = fh_gradient(result, (0.5, 0.0, 0.0), small_basis)
     assert grad == pytest.approx([0.5, 0.0, 0.0])
-
-
-def test_feynman_hellmann_residual_warning(small_basis):
-    vac = small_basis.vacuum_vector()
-    with pytest.warns(UserWarning, match="eigen-residual"):
-        feynman_hellmann_grad(vac, (0.5, 0, 0), small_basis, residual_norm=1e-3)
 
 
 def test_normalization_warning(small_basis):

@@ -193,15 +193,6 @@ def test_scan_validation(scan_model):
         mass_shell_scan(scan_model, 0.5, 0.5, 3, g=0.0)
 
 
-def test_scan_parallel_matches_serial(scan_model, monkeypatch):
-    serial = mass_shell_scan(scan_model, 0.3, 0.7, 3, g=0.05)
-    monkeypatch.setenv("CERENKOV_FIBER_THREADS", "3")
-    parallel = mass_shell_scan(scan_model, 0.3, 0.7, 3, g=0.05)
-    for a, b in zip(serial.rows, parallel.rows):
-        assert a.p == b.p
-        assert a.e0 == pytest.approx(b.e0, abs=1e-12)
-
-
 def test_overlap_distribution_free_theory(scan_model):
     dist = vacuum_overlap_distribution(scan_model, scan_model.on_axis(0.5), 0.0)
     top = np.argmax(dist.weights)

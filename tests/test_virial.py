@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cerenkov_fiber.fock import build_basis
 from cerenkov_fiber.formfactor import FormFactor
@@ -280,3 +282,27 @@ def test_report_serialization(tmp_path, small_model):
     ):
         assert key in record
     assert record["kappa"] == 30.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    radial=st.integers(1, 3),
+    polar=st.integers(1, 2),
+    azimuthal=st.integers(1, 3),
+    n_max=st.integers(1, 3),
+    e_cut=st.one_of(st.none(), st.floats(0.0, 2.5)),
+    P=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+    g=st.floats(-1.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kappa_infinity_residual_equals_energy_identity(
+    radial, polar, azimuthal, n_max, e_cut, P, g, seed
+):
+    grid = build_grid(RadialSpec(0.1, 1.0, radial), AngularSpec(polar, azimuthal))
+    basis = build_basis(grid, n_max, e_cut)
+    ff = FormFactor(cutoff=2.0)
+    psi = np.random.default_rng(seed).normal(size=basis.dimension)
+    psi /= np.linalg.norm(psi)
+    r1 = virial_residual(psi, P, g, DilationSpec(kappa=math.inf), basis, ff)
+    r2 = energy_identity_residual(psi, P, g, basis, ff)
+    assert r2.residual == pytest.approx(r1.residual, abs=1e-12)
