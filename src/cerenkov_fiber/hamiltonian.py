@@ -22,9 +22,6 @@ class SparseHermitianOperator:
 
     matrix: sparse.csr_matrix
 
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
 
 @dataclass
 class FiberParams:

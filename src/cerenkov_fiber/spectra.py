@@ -3,6 +3,11 @@
 `FiberModel` bundles one discretized model (grid, basis, coupling profile)
 and hands out Hamiltonians and eigenpairs; scans reuse it across momenta
 and solve their points one after another, in increasing |P|.
+
+Overlap spectra count the eigenvalues in their window by Schur inertia and
+size one solve by that count: a Householder tridiagonalization that keeps
+the vacuum fixed when the matrix is small or the window wide, shift-invert
+Lanczos about P^2/2 with checked residuals otherwise.
 """
 
 import json
@@ -27,13 +32,20 @@ from cerenkov_fiber.observables import expect_field_momentum, expect_number
 from cerenkov_fiber.solver import (
     DENSE_CUTOFF,
     EigensolverError,
+    SchurBlocks,
     SpectralResult,
     lowest_eigenpairs,
+    trailing_diagonal_start,
 )
 from cerenkov_fiber.weights import ShellSpec, shell_weight
 
 P_MAGNITUDE_BUDGET = 10.0
 DEGENERACY_TOL = 1e-9
+# most eigenpairs one overlap solve computes around P^2/2
+OVERLAP_PAIRS_CAP = 512
+# ARPACK keeps 2k + 1 Lanczos vectors for k pairs; above this share of the
+# dimension the dense tridiagonal path is faster (README, "Eigensolver paths")
+LANCZOS_BASIS_SHARE = 1 / 6
 
 
 class ResonantModeError(RuntimeError):
@@ -331,42 +343,54 @@ def vacuum_overlap_distribution(
     """Weights |<Psi_j, vacuum>|^2 over eigenpairs in a window around P^2/2.
 
     The automatic window is P^2/2 +/- 10 Gamma with Gamma the golden-rule
-    estimate, floored so at least `min_pairs` eigenpairs enter.  If the
-    captured weight stays below `capture_target` the result is flagged.
+    estimate; below threshold (|P| <= 1) its half-width is at least
+    2 g^2 |E2|, so that it holds the ground state the coupling shifted.  One
+    solve covers the smallest interval symmetric about P^2/2 that contains the
+    window: k is the number of eigenvalues in it, exact by Schur inertia when
+    the complement fits under `dense_cutoff` and max(min_pairs, 32) to start
+    with otherwise, at least `min_pairs` and at most OVERLAP_PAIRS_CAP.  The
+    solve is dense when dim <= `dense_cutoff` or when ARPACK's 2k + 1 Lanczos
+    vectors would exceed LANCZOS_BASIS_SHARE of dim, and shift-invert about
+    P^2/2 otherwise; a shift-invert pair with a residual above `solver_tol`
+    raises EigensolverError.  Rows are the eigenpairs in the window, or the
+    `min_pairs` nearest P^2/2 when it holds fewer; the result is flagged when
+    their weight stays below `capture_target`.
     """
     P = np.asarray(P, dtype=float).reshape(3)
     center = 0.5 * float(P @ P)
-    dim = model.basis.dimension
     if window == "auto":
-        gamma = golden_rule_estimate(model, P, g)
-        half = 10.0 * gamma
+        half = 10.0 * golden_rule_estimate(model, P, g)
+        if P @ P <= 1.0:
+            # below threshold every free-energy gap is positive, so E2 is finite
+            e2 = second_order_energy(P, model.form_factor, model.grid)
+            half = max(half, 2.0 * g * g * abs(e2))
         window = (center - half, center + half)
     lo, hi = window
+    mat = model.hamiltonian(P, g).matrix
+    dim = mat.shape[0]
+    count = None
+    if dim > model.dense_cutoff:
+        half = max(center - lo, hi - center)
+        count = _eigenvalue_count(
+            mat, model.dense_cutoff, center - half, center + half
+        )
+    k = min(max(min_pairs, 32 if count is None else count), OVERLAP_PAIRS_CAP)
 
-    if dim <= model.dense_cutoff:
-        vals, vecs = scipy.linalg.eigh(model.hamiltonian(P, g).to_dense())
-        all_weights = vecs[0, :] ** 2
+    if dim <= model.dense_cutoff or 2 * k + 1 > LANCZOS_BASIS_SHARE * dim:
+        vals, all_weights = _tridiagonal_vacuum_spectrum(mat)
     else:
-        # iterative fallback: grow a shift-invert window around the center
-        mat = model.hamiltonian(P, g).matrix.tocsc()
-        # fixed seed for reproducible files; not the uniform vector, which
-        # has no component outside the fully symmetric sector
-        v0 = np.random.default_rng(0).standard_normal(dim)
-        k = max(min_pairs, 32)
-        while True:
-            try:
-                vals, vecs = scipy.sparse.linalg.eigsh(
-                    mat, k=min(k, dim - 2), sigma=center, which="LM", v0=v0
-                )
-            except scipy.sparse.linalg.ArpackNoConvergence as exc:
-                raise EigensolverError(f"overlap shift-invert solve: {exc}") from exc
-            order = np.argsort(vals)
-            vals, vecs = vals[order], vecs[:, order]
-            all_weights = vecs[0, :] ** 2
-            captured = all_weights[(vals >= lo) & (vals <= hi)].sum()
-            if captured >= capture_target or k >= min(dim - 2, 512):
-                break
-            k *= 2
+        vals, vecs = _shift_invert_pairs(
+            mat, center, k, (lo, hi), count is not None, capture_target
+        )
+        res = np.linalg.norm(mat @ vecs - vecs * vals[None, :], axis=0)
+        if np.any(res > model.solver_tol):
+            raise EigensolverError(
+                f"overlap eigenpair residuals {res.max():.3e} exceed tolerance "
+                f"{model.solver_tol:.1e}",
+                best_eigenvalues=vals,
+                best_residuals=res,
+            )
+        all_weights = vecs[0, :] ** 2
 
     selected = np.nonzero((vals >= lo) & (vals <= hi))[0]
     if len(selected) < min_pairs:
@@ -394,6 +418,77 @@ def vacuum_overlap_distribution(
         window=(float(lo), float(hi)),
         low_capture=low,
     )
+
+
+def _eigenvalue_count(mat, dense_cutoff: int, lo: float, hi: float):
+    """Eigenvalues of H in [lo, hi) by Schur inertia; None when the complement
+    of the trailing diagonal block exceeds `dense_cutoff` rows."""
+    t = trailing_diagonal_start(mat)
+    if t > dense_cutoff:
+        return None
+    blocks = SchurBlocks(mat, t)
+    return sum(blocks.count_below(hi)) - sum(blocks.count_below(lo))
+
+
+def _tridiagonal_vacuum_spectrum(mat):
+    """All eigenvalues of H with the vacuum weight of each eigenvector.
+
+    LAPACK dsytrd (lower) writes H = Q T Q^T with Q = H(1)...H(n-1), where
+    the reflector H(i) = I - tau v v^T has v zero in rows 0..i-1.  So Q fixes
+    the first basis vector, the vacuum, and the weights are the squared first
+    components of T's eigenvectors (Golub & Welsch, Math. Comp. 23 (1969)
+    221).  stemr keeps O(n) workspace beside the n^2 eigenvectors; stevd
+    would add n^2 more.
+    """
+    a = mat.toarray()
+    lwork, _ = scipy.linalg.lapack.dsytrd_lwork(len(a), lower=1)
+    # a.T is the same symmetric matrix in Fortran order: reduced in place
+    _, d, e, _, info = scipy.linalg.lapack.dsytrd(
+        a.T, lower=1, lwork=int(lwork), overwrite_a=1
+    )
+    del a  # free the reduced matrix before the eigenvectors are allocated
+    if info != 0:
+        raise ValueError(f"dsytrd argument {-info} is invalid")
+    vals, vecs = scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stemr")
+    return vals, vecs[0, :] ** 2
+
+
+def _shift_invert_pairs(
+    mat, center: float, k: int, window: tuple, counted: bool, capture_target: float
+):
+    """The k eigenpairs nearest `center` by shift-invert Lanczos, sorted.
+
+    With a count, k pairs already cover the window: one call.  Without one,
+    k doubles until the returned pairs (a run of the sorted spectrum about
+    `center`) reach past both window edges, until the window's pairs carry
+    `capture_target` of the vacuum weight, or until k reaches the cap.
+    """
+    dim = mat.shape[0]
+    limit = min(OVERLAP_PAIRS_CAP, dim - 2)
+    k = min(k, limit)
+    mat = mat.tocsc()
+    # fixed seed for reproducible files; not the uniform vector, which
+    # has no component outside the fully symmetric sector
+    v0 = np.random.default_rng(0).standard_normal(dim)
+    lo, hi = window
+    while True:
+        try:
+            vals, vecs = scipy.sparse.linalg.eigsh(
+                mat, k=k, sigma=center, which="LM", v0=v0
+            )
+        except scipy.sparse.linalg.ArpackNoConvergence as exc:
+            raise EigensolverError(f"overlap shift-invert solve: {exc}") from exc
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
+        inside = (vals >= lo) & (vals <= hi)
+        if (
+            counted
+            or k >= limit
+            or (vals[0] <= lo and vals[-1] >= hi)
+            or np.sum(vecs[0, inside] ** 2) >= capture_target
+        ):
+            return vals, vecs
+        k = min(2 * k, limit)
 
 
 def golden_rule_estimate(model: FiberModel, P, g: float) -> float:

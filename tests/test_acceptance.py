@@ -232,7 +232,7 @@ def test_c08_forward_cone_concentration(model_b):
         warnings.simplefilter("ignore")
         dist = vacuum_overlap_distribution(model_b, P, g)
     lo, hi = dist.window
-    vals, vecs = scipy.linalg.eigh(model_b.hamiltonian(P, g).to_dense())
+    vals, vecs = scipy.linalg.eigh(model_b.hamiltonian(P, g).matrix.toarray())
     selected = np.nonzero((vals >= lo) & (vals <= hi))[0]
     cos_cut = 1.0 / p - 0.1
     in_cone = ((model_b.grid.unit_vectors @ model_b.grid.axis) > cos_cut).astype(float)

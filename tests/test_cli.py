@@ -16,6 +16,11 @@ SMALL = dict(
     pairs=3,
 )
 
+# dim 1,891 over the dense cutoff, Schur complement 61 under it
+SHIFT_INVERT = dict(
+    radial_count=10, polar_count=6, n_max=2, experiment={"dense_cutoff": 1000}
+)
+
 
 @pytest.fixture()
 def config_path(tmp_path):
@@ -123,15 +128,14 @@ def test_deterministic_outputs(tmp_path, config_path):
 
 
 def test_overlap_shift_invert_outputs_reproduce(tmp_path):
-    # dim 91 above a dense cutoff of 10: the shift-invert eigsh path
-    cfg = dict(radial_count=4, polar_count=3, n_max=2, experiment={"dense_cutoff": 10})
+    # dim 1,891 above the dense cutoff, 20 pairs near P^2/2: the shift-invert path
     path = tmp_path / "overlap.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(SHIFT_INVERT))
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
         assert run([
             "overlap", "--config", str(path), "--out", str(out),
-            "--p", "1.5,0,0", "--g", "0.05",
+            "--p", "0.5,0,0", "--g", "0.05",
         ]) == 0
     assert (out1 / "overlap.csv").read_bytes() == (out2 / "overlap.csv").read_bytes()
 
@@ -142,15 +146,36 @@ def test_overlap_shift_invert_failure_exit_code(tmp_path, capsys, monkeypatch):
             "ARPACK error -1: No convergence", np.zeros(0), np.zeros((0, 0))
         )
 
-    cfg = dict(radial_count=4, polar_count=3, n_max=2, experiment={"dense_cutoff": 10})
     path = tmp_path / "overlap.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(SHIFT_INVERT))
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
     code = run([
         "overlap", "--config", str(path), "--out", str(tmp_path),
-        "--p", "1.5,0,0", "--g", "0.05",
+        "--p", "0.5,0,0", "--g", "0.05",
     ])
     assert code == EXIT_SOLVER
+    lines = capsys.readouterr().err.strip().split("\n")
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "solver"
+
+
+def test_overlap_shift_invert_residual_check(tmp_path, capsys, monkeypatch):
+    true_eigsh = scipy.sparse.linalg.eigsh
+
+    def one_vector_perturbed(*args, **kwargs):
+        vals, vecs = true_eigsh(*args, **kwargs)
+        vecs[:, -1] += 1e-6 * np.random.default_rng(1).standard_normal(len(vecs))
+        return vals, vecs
+
+    path = tmp_path / "overlap.json"
+    path.write_text(json.dumps(SHIFT_INVERT))
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", one_vector_perturbed)
+    code = run([
+        "overlap", "--config", str(path), "--out", str(tmp_path),
+        "--p", "0.5,0,0", "--g", "0.05",
+    ])
+    assert code == EXIT_SOLVER
+    assert not (tmp_path / "overlap.csv").exists()
     lines = capsys.readouterr().err.strip().split("\n")
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "solver"

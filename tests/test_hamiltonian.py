@@ -92,7 +92,7 @@ def test_free_fiber_one_and_two_boson_values(wide_ff):
 def test_interaction_single_mode_matrix_element(single_mode_setup):
     grid, basis, ff = single_mode_setup
     params = make_params(grid, basis, ff, P=(1.5, 0, 0), g=1.0)
-    phi = build_interaction(params).to_dense()
+    phi = build_interaction(params).matrix.toarray()
     expected = np.sqrt(0.3) * ff.value(1.0)
     one = basis.index_of((0,))
     assert phi[one, 0] == pytest.approx(expected)
@@ -124,7 +124,7 @@ def test_two_by_two_resonant_block(single_mode_setup):
     grid, basis, ff = single_mode_setup
     g = 0.3
     params = make_params(grid, basis, ff, P=(1.5, 0, 0), g=g)
-    h = build_fiber_hamiltonian(params).to_dense()
+    h = build_fiber_hamiltonian(params).matrix.toarray()
     coupling = g * np.sqrt(0.3) * ff.value(1.0)
     expected = np.array([[1.125, coupling], [coupling, 1.125]])
     assert h == pytest.approx(expected, abs=1e-15)
@@ -168,7 +168,7 @@ def test_rotational_covariance_under_azimuthal_relabeling(default_ff):
     grid = build_grid(RadialSpec(0.2, 1.0, 3, "geometric"), AngularSpec(2, 4))
     basis = build_basis(grid, 2)
     params = make_params(grid, basis, default_ff, P=(0.0, 0.0, 0.6), g=0.15)
-    vals = np.linalg.eigvalsh(build_fiber_hamiltonian(params).to_dense())
+    vals = np.linalg.eigvalsh(build_fiber_hamiltonian(params).matrix.toarray())
 
     # roll the azimuthal index: same mode set, relabeled
     perm = []
@@ -188,7 +188,7 @@ def test_rotational_covariance_under_azimuthal_relabeling(default_ff):
     )
     basis2 = build_basis(rolled, 2)
     params2 = make_params(rolled, basis2, default_ff, P=(0.0, 0.0, 0.6), g=0.15)
-    vals2 = np.linalg.eigvalsh(build_fiber_hamiltonian(params2).to_dense())
+    vals2 = np.linalg.eigvalsh(build_fiber_hamiltonian(params2).matrix.toarray())
     assert vals2 == pytest.approx(vals, abs=1e-10)
 
 
@@ -210,7 +210,7 @@ def test_triplet_dump(tmp_path, single_mode_setup):
     path = tmp_path / "h.txt"
     dump_triplets(h.matrix, path)
     rows = [line.split() for line in path.read_text().strip().split("\n")]
-    dense = h.to_dense()
+    dense = h.matrix.toarray()
     rebuilt = np.zeros_like(dense)
     for i, j, v in rows:
         rebuilt[int(i), int(j)] = float(v)

@@ -1,14 +1,19 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
+from cerenkov_fiber.config import config_from_dict, make_model
 from cerenkov_fiber.fock import build_basis
 from cerenkov_fiber.formfactor import FormFactor
 from cerenkov_fiber.grids import AngularSpec, MomentumGrid, RadialSpec, build_grid
 from cerenkov_fiber.hamiltonian import free_fiber_diagonal
 from cerenkov_fiber.spectra import (
+    DEGENERACY_TOL,
     FiberModel,
     ResonantModeError,
     curvature_fd,
@@ -200,6 +205,16 @@ def test_overlap_distribution_free_theory(scan_model):
     assert dist.energies[top] == pytest.approx(0.125, abs=1e-12)
     assert dist.spread == pytest.approx(0.0, abs=1e-15)
     assert not dist.low_capture
+    # at g = 0 the below-threshold window keeps its coupling-scale floor
+    assert dist.window == pytest.approx((0.125 - 1e-4, 0.125 + 1e-4), abs=1e-15)
+
+
+def test_overlap_auto_window_holds_dressed_ground_state(scan_model):
+    # off the grid axis E0 = 0.118785, below the old window [0.12, 0.13]
+    P = np.array([0.5, 0.0, 0.0])
+    dist = vacuum_overlap_distribution(scan_model, P, 0.05)
+    lo, hi = dist.window
+    assert lo <= scan_model.lowest(P, 0.05).ground_energy <= hi
 
 
 def test_overlap_distribution_perturbative_vs_resonant(scan_model):
@@ -245,3 +260,82 @@ def test_overlap_csv(tmp_path, scan_model):
     assert lines[0] == "# fingerprint=deadbeef"
     assert lines[1].startswith("# captured_weight=")
     assert lines[2] == "energy,weight"
+
+
+def _cluster_sums(energies, weights):
+    """Energies of DEGENERACY_TOL clusters and the weight summed over each."""
+    order = np.argsort(energies)
+    energies, weights = energies[order], weights[order]
+    breaks = np.nonzero(np.diff(energies) > DEGENERACY_TOL)[0] + 1
+    starts = np.concatenate([[0], breaks])
+    return energies[starts], np.add.reduceat(weights, starts)
+
+
+def _full_eigh_rows(model, P, g, window, min_pairs=20):
+    """The overlap's rows from a full dense eigh: the window, else the nearest."""
+    vals, vecs = scipy.linalg.eigh(model.hamiltonian(P, g).matrix.toarray())
+    lo, hi = window
+    rows = np.nonzero((vals >= lo) & (vals <= hi))[0]
+    if len(rows) < min_pairs:
+        nearest = np.argsort(np.abs(vals - 0.5 * float(P @ P)))[:min_pairs]
+        rows = np.unique(np.concatenate([rows, nearest]))
+    return _cluster_sums(vals[rows], vecs[0, rows] ** 2)
+
+
+def _overlap_quietly(model, P, g):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # resonant windows capture < 0.99
+        return vacuum_overlap_distribution(model, P, g)
+
+
+@pytest.fixture(scope="module")
+def symmetric_model():
+    grid = build_grid(RadialSpec(0.05, 1.0, 4, "geometric"), AngularSpec(2, 4))
+    return FiberModel(grid=grid, basis=build_basis(grid, 2), form_factor=FormFactor())
+
+
+@pytest.mark.parametrize("name", ["scan_model", "symmetric_model"])
+@pytest.mark.parametrize("p_mag", [0.5, 1.5])
+def test_overlap_tridiagonal_path_matches_full_eigh(request, name, p_mag):
+    model = request.getfixturevalue(name)
+    assert model.basis.dimension <= model.dense_cutoff
+    P = model.on_axis(p_mag)
+    dist = _overlap_quietly(model, P, 0.05)
+    energies, weights = _cluster_sums(dist.energies, dist.weights)
+    ref_energies, ref_weights = _full_eigh_rows(model, P, 0.05, dist.window)
+    np.testing.assert_allclose(energies, ref_energies, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(weights, ref_weights, rtol=0, atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def counted_model():
+    # dim 1,891 over the cutoff, Schur complement 61 under it: the window is
+    # counted
+    cfg = dict(
+        radial_count=10, polar_count=6, n_max=2, experiment={"dense_cutoff": 1000}
+    )
+    return make_model(config_from_dict(cfg))
+
+
+@pytest.mark.parametrize("p_mag, eigsh_calls", [(0.5, 1), (1.5, 0)])
+def test_overlap_counted_window_sizes_one_solve(
+    counted_model, monkeypatch, p_mag, eigsh_calls
+):
+    # at 0.5 the window holds one pair, so 20 pairs take one eigsh call; at
+    # 1.5 it holds 933, so k hits the cap and 2k + 1 Lanczos vectors would
+    # exceed a sixth of the dimension: dense
+    true_eigsh = scipy.sparse.linalg.eigsh
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["k"])
+        return true_eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting)
+    P = np.array([p_mag, 0.0, 0.0])
+    dist = _overlap_quietly(counted_model, P, 0.05)
+    assert len(calls) == eigsh_calls
+    energies, weights = _cluster_sums(dist.energies, dist.weights)
+    ref_energies, ref_weights = _full_eigh_rows(counted_model, P, 0.05, dist.window)
+    np.testing.assert_allclose(energies, ref_energies, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(weights, ref_weights, rtol=0, atol=1e-10)
