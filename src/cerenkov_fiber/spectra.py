@@ -4,10 +4,12 @@
 and hands out Hamiltonians and eigenpairs; scans reuse it across momenta
 and solve their points one after another, in increasing |P|.
 
-Overlap spectra count the eigenvalues in their window by Schur inertia and
-size one solve by that count: a Householder tridiagonalization that keeps
-the vacuum fixed when the matrix is small or the window wide, shift-invert
-Lanczos about P^2/2 with checked residuals otherwise.
+Overlap spectra are the vacuum's spectral measure near P^2/2.  Up to
+`dense_cutoff` rows a Householder tridiagonalization that keeps the vacuum
+fixed gives every eigenpair exactly.  Above it, Lanczos from the vacuum
+builds the measure's Jacobi matrix until the Chebyshev-Markov-Stieltjes
+bracket on the window weight is narrower than OVERLAP_BRACKET_WIDTH; the
+rows are then the nodes and weights of its Gauss rule.
 """
 
 import json
@@ -17,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from cerenkov_fiber import cerenkov
 from cerenkov_fiber.fock import FockBasis
@@ -32,20 +33,23 @@ from cerenkov_fiber.observables import expect_field_momentum, expect_number
 from cerenkov_fiber.solver import (
     DENSE_CUTOFF,
     EigensolverError,
-    SchurBlocks,
     SpectralResult,
     lowest_eigenpairs,
-    trailing_diagonal_start,
 )
 from cerenkov_fiber.weights import ShellSpec, shell_weight
 
 P_MAGNITUDE_BUDGET = 10.0
 DEGENERACY_TOL = 1e-9
-# most eigenpairs one overlap solve computes around P^2/2
-OVERLAP_PAIRS_CAP = 512
-# ARPACK keeps 2k + 1 Lanczos vectors for k pairs; above this share of the
-# dimension the dense tridiagonal path is faster (README, "Eigensolver paths")
-LANCZOS_BASIS_SHARE = 1 / 6
+# vacuum Lanczos stops once the certified bracket on the window weight is
+# narrower than this
+OVERLAP_BRACKET_WIDTH = 1e-4
+# most bytes the vacuum Lanczos basis (m vectors of dim float64) may hold
+LANCZOS_MEMORY_BUDGET = 1 << 30
+# beta below this share of ||H||_1: the Krylov space is invariant
+LANCZOS_BREAKDOWN = 1e-10
+# DGKS: a second Gram-Schmidt pass when the first leaves less than this
+# share of the vector's norm
+DGKS_RATIO = 1.0 / math.sqrt(2.0)
 
 
 class ResonantModeError(RuntimeError):
@@ -307,7 +311,12 @@ def mass_shell_scan(
 
 @dataclass
 class OverlapDistribution:
-    """Spectral weights of the bare state over eigenpairs near P^2/2."""
+    """Spectral weights of the bare state near P^2/2.
+
+    Rows are eigenpairs on the dense path; on the vacuum-Lanczos path they
+    are the nodes and weights of an m-node Gauss rule (`nodes` = m), and
+    `bracket` certifies the window's true weight.
+    """
 
     energies: np.ndarray
     weights: np.ndarray
@@ -316,6 +325,8 @@ class OverlapDistribution:
     captured_weight: float
     window: tuple
     low_capture: bool
+    nodes: int | None = None
+    bracket: tuple | None = None
 
     def to_csv(self, path, fingerprint: str | None = None) -> None:
         lines = []
@@ -325,6 +336,12 @@ class OverlapDistribution:
             f"# captured_weight={repr(self.captured_weight)}"
             f" low_capture={str(self.low_capture).lower()}"
         )
+        if self.nodes is not None:
+            lower, upper = self.bracket
+            lines.append(
+                f"# rows=gauss_nodes nodes={self.nodes}"
+                f" captured_bracket={repr(lower)},{repr(upper)}"
+            )
         lines.append("energy,weight")
         for e, w in zip(self.energies, self.weights):
             lines.append(f"{repr(float(e))},{repr(float(w))}")
@@ -340,21 +357,21 @@ def vacuum_overlap_distribution(
     min_pairs: int = 20,
     capture_target: float = 0.99,
 ) -> OverlapDistribution:
-    """Weights |<Psi_j, vacuum>|^2 over eigenpairs in a window around P^2/2.
+    """Weights |<Psi_j, vacuum>|^2 of the spectrum in a window around P^2/2.
 
     The automatic window is P^2/2 +/- 10 Gamma with Gamma the golden-rule
     estimate; below threshold (|P| <= 1) its half-width is at least
-    2 g^2 |E2|, so that it holds the ground state the coupling shifted.  One
-    solve covers the smallest interval symmetric about P^2/2 that contains the
-    window: k is the number of eigenvalues in it, exact by Schur inertia when
-    the complement fits under `dense_cutoff` and max(min_pairs, 32) to start
-    with otherwise, at least `min_pairs` and at most OVERLAP_PAIRS_CAP.  The
-    solve is dense when dim <= `dense_cutoff` or when ARPACK's 2k + 1 Lanczos
-    vectors would exceed LANCZOS_BASIS_SHARE of dim, and shift-invert about
-    P^2/2 otherwise; a shift-invert pair with a residual above `solver_tol`
-    raises EigensolverError.  Rows are the eigenpairs in the window, or the
-    `min_pairs` nearest P^2/2 when it holds fewer; the result is flagged when
-    their weight stays below `capture_target`.
+    2 g^2 |E2|, so that it holds the ground state the coupling shifted.
+
+    Up to `dense_cutoff` rows the rows are exact eigenpairs from a
+    tridiagonalization that fixes the vacuum.  Above it they are the Gauss
+    nodes and weights of the vacuum's spectral measure, from Lanczos started
+    at the vacuum and run until the Chebyshev-Markov-Stieltjes bracket on the
+    window weight is narrower than OVERLAP_BRACKET_WIDTH (or the Krylov space
+    closes, where the rule is exact); EigensolverError when the basis would
+    need more than LANCZOS_MEMORY_BUDGET bytes first.  Rows are those in the
+    window, or the `min_pairs` nearest P^2/2 when it holds fewer; the result
+    is flagged when their weight stays below `capture_target`.
     """
     P = np.asarray(P, dtype=float).reshape(3)
     center = 0.5 * float(P @ P)
@@ -366,31 +383,26 @@ def vacuum_overlap_distribution(
             half = max(half, 2.0 * g * g * abs(e2))
         window = (center - half, center + half)
     lo, hi = window
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"overlap window needs finite LO < HI, got {window}")
     mat = model.hamiltonian(P, g).matrix
-    dim = mat.shape[0]
-    count = None
-    if dim > model.dense_cutoff:
-        half = max(center - lo, hi - center)
-        count = _eigenvalue_count(
-            mat, model.dense_cutoff, center - half, center + half
-        )
-    k = min(max(min_pairs, 32 if count is None else count), OVERLAP_PAIRS_CAP)
-
-    if dim <= model.dense_cutoff or 2 * k + 1 > LANCZOS_BASIS_SHARE * dim:
+    nodes = bracket = None
+    if mat.shape[0] <= model.dense_cutoff:
         vals, all_weights = _tridiagonal_vacuum_spectrum(mat)
     else:
-        vals, vecs = _shift_invert_pairs(
-            mat, center, k, (lo, hi), count is not None, capture_target
-        )
-        res = np.linalg.norm(mat @ vecs - vecs * vals[None, :], axis=0)
-        if np.any(res > model.solver_tol):
-            raise EigensolverError(
-                f"overlap eigenpair residuals {res.max():.3e} exceed tolerance "
-                f"{model.solver_tol:.1e}",
-                best_eigenvalues=vals,
-                best_residuals=res,
+        alpha, beta, exact = _vacuum_lanczos(mat, (lo, hi), LANCZOS_MEMORY_BUDGET)
+        vals, all_weights = _gauss_rule(alpha, beta[:-1])
+        nodes = len(vals)
+        if exact:
+            inside = float(all_weights[(vals >= lo) & (vals <= hi)].sum())
+            bracket = (inside, inside)
+        else:
+            below_lo, at_lo = _radau_split(alpha, beta, lo)
+            below_hi, at_hi = _radau_split(alpha, beta, hi)
+            bracket = (
+                max(below_hi - below_lo - at_lo, 0.0),
+                min(below_hi + at_hi - below_lo, 1.0),
             )
-        all_weights = vecs[0, :] ** 2
 
     selected = np.nonzero((vals >= lo) & (vals <= hi))[0]
     if len(selected) < min_pairs:
@@ -417,17 +429,9 @@ def vacuum_overlap_distribution(
         captured_weight=captured,
         window=(float(lo), float(hi)),
         low_capture=low,
+        nodes=nodes,
+        bracket=bracket,
     )
-
-
-def _eigenvalue_count(mat, dense_cutoff: int, lo: float, hi: float):
-    """Eigenvalues of H in [lo, hi) by Schur inertia; None when the complement
-    of the trailing diagonal block exceeds `dense_cutoff` rows."""
-    t = trailing_diagonal_start(mat)
-    if t > dense_cutoff:
-        return None
-    blocks = SchurBlocks(mat, t)
-    return sum(blocks.count_below(hi)) - sum(blocks.count_below(lo))
 
 
 def _tridiagonal_vacuum_spectrum(mat):
@@ -449,46 +453,104 @@ def _tridiagonal_vacuum_spectrum(mat):
     del a  # free the reduced matrix before the eigenvectors are allocated
     if info != 0:
         raise ValueError(f"dsytrd argument {-info} is invalid")
-    vals, vecs = scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stemr")
+    return _gauss_rule(d, e)
+
+
+def _gauss_rule(diagonal, off_diagonal):
+    """Nodes and weights of a Jacobi matrix's Gauss rule: its eigenvalues and
+    the squared first components of its eigenvectors (Golub & Welsch)."""
+    vals, vecs = scipy.linalg.eigh_tridiagonal(
+        diagonal, off_diagonal, lapack_driver="stemr"
+    )
     return vals, vecs[0, :] ** 2
 
 
-def _shift_invert_pairs(
-    mat, center: float, k: int, window: tuple, counted: bool, capture_target: float
-):
-    """The k eigenpairs nearest `center` by shift-invert Lanczos, sorted.
+def _vacuum_lanczos(mat, window: tuple, memory_budget: int):
+    """Jacobi matrix of the vacuum's spectral measure, grown until the
+    Chebyshev-Markov-Stieltjes bracket on the window weight closes.
 
-    With a count, k pairs already cover the window: one call.  Without one,
-    k doubles until the returned pairs (a run of the sorted spectrum about
-    `center`) reach past both window edges, until the window's pairs carry
-    `capture_target` of the vacuum weight, or until k reaches the cap.
+    Lanczos from the first basis vector with full reorthogonalization: after
+    the three-term recurrence one classical Gram-Schmidt pass against the
+    whole basis, and a second one on the DGKS test.  After m steps the
+    (m + 1)-node Gauss-Radau rule with a node fixed at t puts the weight
+    lambda(t) = 1 / sum_{k <= m} p_k(t)^2 on t, the Christoffel function of
+    the orthonormal polynomials p_k, and the bracket is as wide as
+    lambda(lo) + lambda(hi).  The p_k at both edges follow the recurrence
+    step by step, so every step is checked for O(1).
+
+    Returns (alpha, beta, exact): alpha_0..alpha_{m-1} and beta_1..beta_m,
+    the last coupling the Jacobi matrix to the next, unbuilt step.  `exact`
+    marks a Krylov space that closed (beta_m ~ 0 or m = dim), where the
+    m-node Gauss rule is the measure itself.
     """
     dim = mat.shape[0]
-    limit = min(OVERLAP_PAIRS_CAP, dim - 2)
-    k = min(k, limit)
-    mat = mat.tocsc()
-    # fixed seed for reproducible files; not the uniform vector, which
-    # has no component outside the fully symmetric sector
-    v0 = np.random.default_rng(0).standard_normal(dim)
-    lo, hi = window
-    while True:
-        try:
-            vals, vecs = scipy.sparse.linalg.eigsh(
-                mat, k=k, sigma=center, which="LM", v0=v0
-            )
-        except scipy.sparse.linalg.ArpackNoConvergence as exc:
-            raise EigensolverError(f"overlap shift-invert solve: {exc}") from exc
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        inside = (vals >= lo) & (vals <= hi)
-        if (
-            counted
-            or k >= limit
-            or (vals[0] <= lo and vals[-1] >= hi)
-            or np.sum(vecs[0, inside] ** 2) >= capture_target
-        ):
-            return vals, vecs
-        k = min(2 * k, limit)
+    steps = min(dim, memory_budget // (8 * dim))
+    breakdown = LANCZOS_BREAKDOWN * abs(mat).sum(axis=0).max()
+    edges = np.asarray(window, dtype=float)
+    p_prev, p_cur = np.zeros(2), np.ones(2)  # p_{-1}, p_0 at both edges
+    christoffel_sum = np.ones(2)
+    alpha, beta = [], []
+    basis = np.empty((steps, dim))
+    if steps:
+        basis[0] = 0.0
+        basis[0, 0] = 1.0
+    for j in range(steps):
+        v = basis[j]
+        w = mat @ v
+        a = float(v @ w)
+        w -= a * v
+        if j:
+            w -= beta[-1] * basis[j - 1]
+        done = basis[: j + 1]
+        before = np.linalg.norm(w)
+        w -= done.T @ (done @ w)
+        b = float(np.linalg.norm(w))
+        if b < DGKS_RATIO * before:
+            w -= done.T @ (done @ w)
+            b = float(np.linalg.norm(w))
+        alpha.append(a)
+        beta.append(b)
+        if b <= breakdown or j + 1 == dim:
+            return np.array(alpha), np.array(beta), True
+        p_prev, p_cur = p_cur, (
+            (edges - a) * p_cur - (beta[-2] if j else 0.0) * p_prev
+        ) / b
+        christoffel_sum += p_cur**2
+        # lambda < 1e-200 only falls further; stop the recurrence before the
+        # p_k overflow
+        far = christoffel_sum > 1e200
+        p_prev[far] = p_cur[far] = 0.0
+        if np.sum(1.0 / christoffel_sum) < OVERLAP_BRACKET_WIDTH:
+            return np.array(alpha), np.array(beta), False
+        if j + 1 < steps:
+            basis[j + 1] = w / b
+    raise EigensolverError(
+        f"vacuum Lanczos: {steps} vectors of dim {dim} fill the "
+        f"{memory_budget}-byte budget before the overlap bracket closes to "
+        f"{OVERLAP_BRACKET_WIDTH:.0e}"
+    )
+
+
+def _radau_split(alpha, beta, t: float):
+    """(weight below t, weight at t) of the Gauss-Radau rule with a node at t.
+
+    The rule extends the Jacobi matrix by one row whose diagonal entry
+    alpha_m = t + beta_m^2 / d_{m-1} makes t an eigenvalue, d_{m-1} being
+    the last pivot of T_m - t I.  By Chebyshev-Markov-Stieltjes, the
+    measure's weight strictly below t is at least the first number and its
+    weight up to t at most their sum (Golub & Meurant, Matrices, Moments and
+    Quadrature, 2010).
+    """
+    # a zero pivot (t a node of T_k) is replaced by a tiny negative one, as
+    # in LAPACK's Sturm counts
+    floor = -np.finfo(float).eps * (abs(t) + 1.0)
+    pivot = (alpha[0] - t) or floor
+    for a, b in zip(alpha[1:], beta[:-1]):
+        pivot = (a - t - b * b / pivot) or floor
+    extra = t + beta[-1] ** 2 / pivot
+    vals, weights = _gauss_rule(np.append(alpha, extra), beta)
+    at = int(np.argmin(np.abs(vals - t)))
+    return float(weights[:at].sum()), float(weights[at])
 
 
 def golden_rule_estimate(model: FiberModel, P, g: float) -> float:

@@ -153,9 +153,22 @@ class VirialReport:
     mode: str = "parallel"
     eigen_residual: float | None = None
 
+    @property
+    def residual_dominates(self) -> bool:
+        """|residual| exceeds every term it balances: the grid under-resolves
+        the identity, so the residual measures nothing."""
+        terms = (
+            self.number_energy_term,
+            self.momentum_mixed_term,
+            self.drift_term,
+            self.source_term,
+        )
+        return abs(self.residual) > max(abs(t) for t in terms)
+
     def to_dict(self) -> dict:
         out = {
             "residual": self.residual,
+            "residual_dominates": self.residual_dominates,
             "number_energy_term": self.number_energy_term,
             "momentum_mixed_term": self.momentum_mixed_term,
             "drift_term": self.drift_term,

@@ -1,10 +1,9 @@
 import json
 
-import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 
+from cerenkov_fiber import spectra
 from cerenkov_fiber.cli import EXIT_SOLVER, EXIT_VALIDATION, main
 from cerenkov_fiber.config import load_config, make_model
 
@@ -16,10 +15,8 @@ SMALL = dict(
     pairs=3,
 )
 
-# dim 1,891 over the dense cutoff, Schur complement 61 under it
-SHIFT_INVERT = dict(
-    radial_count=10, polar_count=6, n_max=2, experiment={"dense_cutoff": 1000}
-)
+# dim 1,891 over the dense cutoff
+GAUSS = dict(radial_count=10, polar_count=6, n_max=2, experiment={"dense_cutoff": 1000})
 
 
 @pytest.fixture()
@@ -127,58 +124,53 @@ def test_deterministic_outputs(tmp_path, config_path):
     assert (out1 / "scan.csv").read_bytes() == (out2 / "scan.csv").read_bytes()
 
 
-def test_overlap_shift_invert_outputs_reproduce(tmp_path):
-    # dim 1,891 above the dense cutoff, 20 pairs near P^2/2: the shift-invert path
+def _overlap_argv(config, out, *extra):
+    return [
+        "overlap", "--config", str(config), "--out", str(out),
+        "--p", "1.5,0,0", "--g", "0.05", *extra,
+    ]
+
+
+@pytest.mark.filterwarnings("ignore:overlap window captured")
+def test_overlap_gauss_outputs_reproduce(tmp_path):
+    # dim 1,891 above the dense cutoff: the vacuum-Lanczos path, which has
+    # no random start vector
     path = tmp_path / "overlap.json"
-    path.write_text(json.dumps(SHIFT_INVERT))
+    path.write_text(json.dumps(GAUSS))
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
-        assert run([
-            "overlap", "--config", str(path), "--out", str(out),
-            "--p", "0.5,0,0", "--g", "0.05",
-        ]) == 0
-    assert (out1 / "overlap.csv").read_bytes() == (out2 / "overlap.csv").read_bytes()
+        assert run(_overlap_argv(path, out)) == 0
+    text = (out1 / "overlap.csv").read_text()
+    assert text == (out2 / "overlap.csv").read_text()
+    lines = text.split("\n")
+    assert lines[2].startswith("# rows=gauss_nodes nodes=")
+    assert "captured_bracket=" in lines[2]
+    assert lines[3] == "energy,weight"
 
 
-def test_overlap_shift_invert_failure_exit_code(tmp_path, capsys, monkeypatch):
-    def no_convergence(*args, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence(
-            "ARPACK error -1: No convergence", np.zeros(0), np.zeros((0, 0))
-        )
-
+def test_overlap_gauss_memory_budget_exit_code(tmp_path, capsys, monkeypatch):
     path = tmp_path / "overlap.json"
-    path.write_text(json.dumps(SHIFT_INVERT))
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-    code = run([
-        "overlap", "--config", str(path), "--out", str(tmp_path),
-        "--p", "0.5,0,0", "--g", "0.05",
-    ])
-    assert code == EXIT_SOLVER
-    lines = capsys.readouterr().err.strip().split("\n")
-    assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "solver"
-
-
-def test_overlap_shift_invert_residual_check(tmp_path, capsys, monkeypatch):
-    true_eigsh = scipy.sparse.linalg.eigsh
-
-    def one_vector_perturbed(*args, **kwargs):
-        vals, vecs = true_eigsh(*args, **kwargs)
-        vecs[:, -1] += 1e-6 * np.random.default_rng(1).standard_normal(len(vecs))
-        return vals, vecs
-
-    path = tmp_path / "overlap.json"
-    path.write_text(json.dumps(SHIFT_INVERT))
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", one_vector_perturbed)
-    code = run([
-        "overlap", "--config", str(path), "--out", str(tmp_path),
-        "--p", "0.5,0,0", "--g", "0.05",
-    ])
+    path.write_text(json.dumps(GAUSS))
+    # room for five Lanczos vectors of dim 1,891; the bracket needs more
+    monkeypatch.setattr(spectra, "LANCZOS_MEMORY_BUDGET", 5 * 8 * 1891)
+    code = run(_overlap_argv(path, tmp_path))
     assert code == EXIT_SOLVER
     assert not (tmp_path / "overlap.csv").exists()
     lines = capsys.readouterr().err.strip().split("\n")
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "solver"
+
+
+@pytest.mark.parametrize(
+    "window", ["0.2,0.1", "1.1,1.1", "nan,1.2", "1.0,inf", "-inf,1.2"]
+)
+def test_overlap_window_validation(tmp_path, capsys, config_path, window):
+    code = run(_overlap_argv(config_path, tmp_path, f"--window={window}"))
+    assert code == EXIT_VALIDATION
+    assert not (tmp_path / "overlap.csv").exists()
+    lines = capsys.readouterr().err.strip().split("\n")
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "validation"
 
 
 def test_scan_and_virial_on_symmetric_grid(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -5,19 +6,19 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 
-from cerenkov_fiber.config import config_from_dict, make_model
 from cerenkov_fiber.fock import build_basis
 from cerenkov_fiber.formfactor import FormFactor
 from cerenkov_fiber.grids import AngularSpec, MomentumGrid, RadialSpec, build_grid
 from cerenkov_fiber.hamiltonian import free_fiber_diagonal
 from cerenkov_fiber.spectra import (
     DEGENERACY_TOL,
+    OVERLAP_BRACKET_WIDTH,
     FiberModel,
     ResonantModeError,
     curvature_fd,
     fh_gradient,
+    golden_rule_estimate,
     grad_E_fd,
     mass_shell_scan,
     second_order_energy,
@@ -228,20 +229,6 @@ def test_overlap_distribution_perturbative_vs_resonant(scan_model):
     assert resonant.weights.max() < stable.weights.max()
 
 
-def test_overlap_iterative_path_agrees_with_dense(scan_model):
-    P = scan_model.on_axis(0.5)
-    dense = vacuum_overlap_distribution(scan_model, P, 0.05)
-    small = FiberModel(
-        grid=scan_model.grid,
-        basis=scan_model.basis,
-        form_factor=scan_model.form_factor,
-        dense_cutoff=10,  # force the shift-invert branch
-    )
-    iterative = vacuum_overlap_distribution(small, P, 0.05)
-    assert iterative.weights.max() == pytest.approx(dense.weights.max(), abs=1e-8)
-    assert iterative.mean == pytest.approx(dense.mean, abs=1e-8)
-
-
 def test_overlap_low_capture_flag(scan_model):
     with pytest.warns(UserWarning, match="captured"):
         dist = vacuum_overlap_distribution(
@@ -282,10 +269,10 @@ def _full_eigh_rows(model, P, g, window, min_pairs=20):
     return _cluster_sums(vals[rows], vecs[0, rows] ** 2)
 
 
-def _overlap_quietly(model, P, g):
+def _overlap_quietly(model, P, g, **kwargs):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # resonant windows capture < 0.99
-        return vacuum_overlap_distribution(model, P, g)
+        return vacuum_overlap_distribution(model, P, g, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -307,35 +294,124 @@ def test_overlap_tridiagonal_path_matches_full_eigh(request, name, p_mag):
     np.testing.assert_allclose(weights, ref_weights, rtol=0, atol=1e-12)
 
 
+def _gauss_path(model):
+    """The same model with a cutoff below its dimension: vacuum Lanczos."""
+    return dataclasses.replace(model, dense_cutoff=10)
+
+
 @pytest.fixture(scope="module")
-def counted_model():
-    # dim 1,891 over the cutoff, Schur complement 61 under it: the window is
-    # counted
-    cfg = dict(
-        radial_count=10, polar_count=6, n_max=2, experiment={"dense_cutoff": 1000}
-    )
-    return make_model(config_from_dict(cfg))
+def vacuum_measure():
+    """The vacuum's spectral measure from a full eigh: (eigenvalues, weights)."""
+    cache = {}
+
+    def measure(model, P, g):
+        key = (model.basis.dimension, tuple(P), g)
+        if key not in cache:
+            vals, vecs = scipy.linalg.eigh(model.hamiltonian(P, g).matrix.toarray())
+            cache[key] = vals, vecs[0] ** 2
+        return cache[key]
+
+    return measure
 
 
-@pytest.mark.parametrize("p_mag, eigsh_calls", [(0.5, 1), (1.5, 0)])
-def test_overlap_counted_window_sizes_one_solve(
-    counted_model, monkeypatch, p_mag, eigsh_calls
+@pytest.mark.parametrize("name", ["scan_model", "symmetric_model"])
+@pytest.mark.parametrize("p_mag", [0.5, 1.5])
+def test_overlap_gauss_rule_matches_vacuum_moments(
+    request, vacuum_measure, name, p_mag
 ):
-    # at 0.5 the window holds one pair, so 20 pairs take one eigsh call; at
-    # 1.5 it holds 933, so k hits the cap and 2k + 1 Lanczos vectors would
-    # exceed a sixth of the dimension: dense
-    true_eigsh = scipy.sparse.linalg.eigsh
-    calls = []
+    model = request.getfixturevalue(name)
+    P, g = model.on_axis(p_mag), 0.05
+    center = 0.5 * float(P @ P)
+    # min_pairs = dim: every node of the rule is a row
+    dist = _overlap_quietly(_gauss_path(model), P, g, min_pairs=model.basis.dimension)
+    assert dist.nodes == len(dist.energies)
+    assert np.all(dist.weights >= 0.0)
+    assert dist.weights.sum() <= 1.0 + 1e-12
+    vals, weights = vacuum_measure(model, P, g)
+    # moments of (H - c) / s, s the spectral radius about c: all at most 1
+    scale = np.max(np.abs(vals - center))
+    nodes, exact = (dist.energies - center) / scale, (vals - center) / scale
+    for k in range(2 * dist.nodes):
+        assert weights @ exact**k == pytest.approx(
+            dist.weights @ nodes**k, rel=0, abs=1e-10
+        ), k
+    # second-moment sum rule: ||(H - c) e_0||^2 = g^2 sum_m vol_m rho_m^2
+    column = model.hamiltonian(P, g).matrix[:, 0].toarray().ravel()
+    column[0] -= center
+    moment = dist.weights @ (dist.energies - center) ** 2
+    assert moment == pytest.approx(column @ column, rel=1e-10)
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs["k"])
-        return true_eigsh(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting)
-    P = np.array([p_mag, 0.0, 0.0])
-    dist = _overlap_quietly(counted_model, P, 0.05)
-    assert len(calls) == eigsh_calls
-    energies, weights = _cluster_sums(dist.energies, dist.weights)
-    ref_energies, ref_weights = _full_eigh_rows(counted_model, P, 0.05, dist.window)
-    np.testing.assert_allclose(energies, ref_energies, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(weights, ref_weights, rtol=0, atol=1e-10)
+@pytest.mark.parametrize("name", ["scan_model", "symmetric_model"])
+@pytest.mark.parametrize("p_mag", [0.5, 1.5])
+@pytest.mark.parametrize("placement", ["auto", "narrow", "below", "wide"])
+def test_overlap_gauss_bracket_holds_dense_weight(
+    request, vacuum_measure, placement, p_mag, name
+):
+    model = request.getfixturevalue(name)
+    P, g = model.on_axis(p_mag), 0.05
+    center = 0.5 * float(P @ P)
+    if placement == "auto":
+        window = "auto"
+    else:
+        half = 10.0 * golden_rule_estimate(model, P, g)
+        window = {
+            "narrow": (center - 0.1 * half, center + 0.1 * half),
+            "below": (center - 2.0 * half, center - 0.5 * half),
+            "wide": (center - 0.3, center + 0.3),
+        }[placement]
+    dist = _overlap_quietly(_gauss_path(model), P, g, window=window)
+    lo, hi = dist.window
+    vals, weights = vacuum_measure(model, P, g)
+    exact = weights[(vals >= lo) & (vals <= hi)].sum()
+    lower, upper = dist.bracket
+    assert lower - 1e-12 <= exact <= upper + 1e-12
+    assert upper - lower <= OVERLAP_BRACKET_WIDTH
+    assert dist.nodes >= 1
+    assert dist.captured_weight == pytest.approx(dist.weights.sum(), rel=1e-15)
+
+
+def test_overlap_gauss_rule_exact_when_krylov_space_closes():
+    # four azimuthal nodes: the vacuum reaches only the symmetric sector, 12
+    # of 45 dimensions.  A window edge on the ground state, an atom of weight
+    # 0.8, keeps the bracket open, so Lanczos runs until that space closes
+    grid = build_grid(RadialSpec(0.1, 1.0, 2, "geometric"), AngularSpec(1, 4))
+    model = FiberModel(
+        grid=grid,
+        basis=build_basis(grid, 2),
+        form_factor=FormFactor(cutoff=2.0),
+        dense_cutoff=10,
+    )
+    P, g = model.on_axis(1.5), 0.3
+    e0 = model.lowest(P, g).ground_energy
+    dist = _overlap_quietly(model, P, g, window=(e0 - 1e-12, 1.3), min_pairs=45)
+    vals, vecs = scipy.linalg.eigh(model.hamiltonian(P, g).matrix.toarray())
+    energies, weights = _cluster_sums(vals, vecs[0] ** 2)
+    carried = weights > 1e-14
+    assert dist.nodes == np.sum(carried) < model.basis.dimension
+    np.testing.assert_allclose(dist.energies, energies[carried], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(dist.weights, weights[carried], rtol=0, atol=1e-13)
+    inside = weights[(energies >= e0 - 1e-12) & (energies <= 1.3)].sum()
+    lower, upper = dist.bracket
+    assert lower == upper == pytest.approx(inside, abs=1e-13)
+
+
+def test_overlap_gauss_rule_free_theory_is_one_node(scan_model):
+    # at g = 0 the vacuum is an eigenvector: Lanczos stops after one step
+    P = scan_model.on_axis(1.5)
+    dist = _overlap_quietly(_gauss_path(scan_model), P, 0.0)
+    assert dist.nodes == 1
+    assert dist.bracket == (1.0, 1.0)
+    assert dist.energies.tolist() == [1.125]
+    assert dist.weights.tolist() == [1.0]
+
+
+def test_overlap_gauss_edge_far_outside_spectrum(scan_model):
+    # at t = -1e6 the p_k(t) would overflow within a few dozen steps; the
+    # Christoffel weight there is ~0 long before, so the run matches an edge
+    # at -100
+    P = scan_model.on_axis(1.5)
+    near = _overlap_quietly(_gauss_path(scan_model), P, 0.05, window=(-100.0, 1.2))
+    far = _overlap_quietly(_gauss_path(scan_model), P, 0.05, window=(-1e6, 1.2))
+    assert far.nodes == near.nodes < 200
+    assert far.bracket == near.bracket
