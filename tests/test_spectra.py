@@ -229,6 +229,30 @@ def test_overlap_distribution_perturbative_vs_resonant(scan_model):
     assert resonant.weights.max() < stable.weights.max()
 
 
+def test_overlap_iterative_path_agrees_with_dense(scan_model):
+    # above the cutoff the rows are Gauss nodes, not eigenpairs: what must
+    # agree is the window weight, which the certified bracket holds.  Below
+    # threshold the window holds one eigenvalue, the dressed ground state, so
+    # the bracket holds the dense path's largest weight too
+    P = scan_model.on_axis(0.5)
+    dense = vacuum_overlap_distribution(scan_model, P, 0.05)
+    small = FiberModel(
+        grid=scan_model.grid,
+        basis=scan_model.basis,
+        form_factor=scan_model.form_factor,
+        dense_cutoff=10,  # force the vacuum-Lanczos branch
+    )
+    iterative = _overlap_quietly(small, P, 0.05)
+    assert iterative.window == dense.window
+    lo, hi = dense.window
+    inside = (dense.energies >= lo) & (dense.energies <= hi)
+    assert np.sum(inside) == 1
+    lower, upper = iterative.bracket
+    assert 0.0 < upper - lower <= OVERLAP_BRACKET_WIDTH
+    assert lower <= dense.weights[inside].sum() <= upper
+    assert lower <= dense.weights.max() <= upper
+
+
 def test_overlap_low_capture_flag(scan_model):
     with pytest.warns(UserWarning, match="captured"):
         dist = vacuum_overlap_distribution(
