@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from cerenkov_fiber.fock import FockBasis
 from cerenkov_fiber.formfactor import FormFactor
@@ -84,6 +83,10 @@ def golden_rule_rate(P, g: float, ff: FormFactor, rel_tol: float = 1e-9) -> floa
         x = p * c - 1.0
         rho = ff.value(2.0 * x)
         return 4.0 * x * rho * rho
+
+    # imported here, not at module level: scipy.integrate pulls in
+    # scipy.optimize, which every CLI command would otherwise pay for at start
+    from scipy import integrate
 
     value, _ = integrate.quad(
         integrand, c_lo, c_hi, epsrel=rel_tol, epsabs=1e-300, limit=200

@@ -8,27 +8,43 @@
 - "schur": shift-invert Lanczos (ARPACK) through the exact Schur complement
   of the matrix's trailing diagonal block, when the complement has at most
   `dense_cutoff` rows;
-- "lanczos": implicitly restarted Lanczos (ARPACK) otherwise.
+- "lobpcg": block LOBPCG preconditioned by the inverse shifted diagonal
+  otherwise (Knyazev, SIAM J. Sci. Comput. 23 (2001) 517).
 
 Every path verifies residual norms against the requested tolerance and fixes
-eigenvector signs for reproducible output files.  The ARPACK start vectors
+eigenvector signs for reproducible output files.  The iterative start vectors
 are deterministic for the same reason.  The Schur path also certifies, by
 Haynsworth inertia additivity, that no eigenvalue below the returned ones
-was missed, and restarts deflated against the pairs found while one was.
+was missed, and restarts deflated against the pairs found while one was; the
+LOBPCG path carries no such certificate.
 """
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 from scipy import sparse
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, lobpcg
 
 from cerenkov_fiber.hamiltonian import SparseHermitianOperator
 
 DENSE_CUTOFF = 2000
 # bisection for the shift stops at this share of the initial bracket
 SHIFT_BRACKET_SHARE = 1e-6
+# LOBPCG preconditions with (diag H - sigma)^-1, sigma this far below
+# min(diag H), so it is positive definite.  On a dim-368k n_max = 3 fiber
+# the ground state took 20 iterations at 5e-2, 24 at 1e-3 and 45 with sigma
+# at the Gershgorin bound
+LOBPCG_SHIFT_OFFSET = 5e-2
+# block columns beyond `count` when count > 1: a level just above the last
+# requested one otherwise stalls that column's convergence
+LOBPCG_GUARD_COLUMNS = 2
+# iteration budget when the caller sets none (lobpcg's own default is 20)
+LOBPCG_MAXITER = 1000
+# size of the random perturbation of the unit-vector start block, which
+# seeds every symmetry sector
+LOBPCG_START_NOISE = 1e-3
 
 
 class EigensolverError(RuntimeError):
@@ -216,6 +232,54 @@ def _arpack(mat, count, tol, maxiter, v0, **selection):
     return vals[order], vecs[:, order]
 
 
+def _lobpcg_pairs(mat, count, tol, maxiter):
+    """Lowest `count` pairs by LOBPCG.
+
+    H_P is a free diagonal plus a coupling, so (diag H - sigma)^-1 is a good
+    preconditioner.  The start block is the unit vectors on the lowest
+    diagonal entries, perturbed by a fixed-seed random block.  lobpcg runs
+    until every block column converges, so guard columns are added only for
+    count > 1: a lone ground-state column needs none, and guards beside it
+    cost a column each per iteration and must converge on the levels above,
+    which come in near-degenerate clusters.  A run that misses the
+    tolerance returns its best iterate, whose residuals the caller checks.
+    """
+    dim = mat.shape[0]
+    block = min(count + (LOBPCG_GUARD_COLUMNS if count > 1 else 0), dim)
+    diag = mat.diagonal()
+    scale = 1.0 / (diag - (diag.min() - LOBPCG_SHIFT_OFFSET))
+    start = LOBPCG_START_NOISE * np.random.default_rng(0).standard_normal(
+        (dim, block)
+    )
+    start[np.argsort(diag, kind="stable")[:block], np.arange(block)] += 1.0
+    products = 0
+
+    def apply(x):
+        nonlocal products
+        products += 1
+        return mat @ x
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # non-convergence shows in residuals
+        vals, vecs = lobpcg(
+            apply,
+            start,
+            M=lambda x: scale[:, None] * x,
+            tol=tol * 1e-2,
+            maxiter=LOBPCG_MAXITER if maxiter is None else maxiter,
+            largest=False,
+        )
+    order = np.argsort(vals, kind="stable")[:count]
+    diagnostics = {
+        # one product per iteration, plus the first and last Rayleigh-Ritz
+        "iterations": max(products - 2, 0),
+        "block": block,
+        "start_vector": "lowest_diagonal_perturbed",
+        "certified": False,
+    }
+    return vals[order], vecs[:, order], diagnostics
+
+
 def _inertia_counts(blocks: SchurBlocks, vals: np.ndarray, tol: float) -> dict:
     """Count the eigenvalues below the returned ones by inertia.
 
@@ -272,7 +336,7 @@ def _deflated(inverse: LinearOperator, found: np.ndarray) -> LinearOperator:
     )
 
 
-def _schur_pairs(mat, t: int, count, tol, maxiter, v0):
+def _schur_pairs(mat, t: int, count, tol, maxiter):
     """Lowest `count` pairs by shift-invert through the Schur complement.
 
     Single-vector Lanczos sees one vector per distinct eigenvalue, and the
@@ -282,6 +346,8 @@ def _schur_pairs(mat, t: int, count, tol, maxiter, v0):
     the pairs found, from a fixed-seed random start, which finds at least
     the lowest skipped level.
     """
+    dim = mat.shape[0]
+    v0 = np.full(dim, 1.0 / np.sqrt(dim))
     blocks = SchurBlocks(mat, t)
     shift, factor, factorizations = _shift_below_ground(mat, blocks)
     inverse = blocks.inverse(shift, factor)
@@ -298,7 +364,7 @@ def _schur_pairs(mat, t: int, count, tol, maxiter, v0):
             min(record["missed"], count),
             tol,
             maxiter,
-            _project_out(vecs, rng.standard_normal(len(v0))),
+            _project_out(vecs, rng.standard_normal(dim)),
             sigma=shift,
             which="LM",
             OPinv=_deflated(inverse, vecs),
@@ -309,6 +375,7 @@ def _schur_pairs(mat, t: int, count, tol, maxiter, v0):
         vals, vecs = vals[order], vecs[:, order]
         record = _inertia_counts(blocks, vals, tol)
     diagnostics = {
+        "start_vector": "uniform",
         "schur_size": t,
         "shift": shift,
         "factorizations": factorizations,
@@ -328,14 +395,16 @@ def lowest_eigenpairs(
 ) -> SpectralResult:
     """Algebraically smallest `count` eigenpairs of a symmetric operator.
 
-    `method` is one of "auto", "dense", "lanczos"; the module docstring lists
+    `method` is one of "auto", "dense", "lobpcg"; the module docstring lists
     the paths "auto" chooses between.  Raises :class:`EigensolverError` when
     an iterative path fails to reach the tolerance, carrying the best
     residuals, or when the Schur path's inertia certificate fails.
+    `maxiter` None means ARPACK's default on the Schur path and
+    LOBPCG_MAXITER on the LOBPCG path.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    if method not in ("auto", "dense", "lanczos"):
+    if method not in ("auto", "dense", "lobpcg"):
         raise ValueError(f"unknown method {method!r}")
     mat = _as_csr(op)
     dim = mat.shape[0]
@@ -362,18 +431,14 @@ def lowest_eigenpairs(
             mat.toarray(), subset_by_index=(0, count - 1)
         )
         used = "dense"
+    elif method == "auto" and t <= dense_cutoff:
+        vals, vecs, path_diagnostics = _schur_pairs(mat, t, count, tol, maxiter)
+        diagnostics.update(path_diagnostics)
+        used = "schur"
     else:
-        v0 = np.full(dim, 1.0 / np.sqrt(dim))
-        diagnostics["start_vector"] = "uniform"
-        if method == "auto" and t <= dense_cutoff:
-            vals, vecs, schur_diagnostics = _schur_pairs(
-                mat, t, count, tol, maxiter, v0
-            )
-            diagnostics.update(schur_diagnostics)
-            used = "schur"
-        else:
-            vals, vecs = _arpack(mat, count, tol, maxiter, v0, which="SA")
-            used = "lanczos"
+        vals, vecs, path_diagnostics = _lobpcg_pairs(mat, count, tol, maxiter)
+        diagnostics.update(path_diagnostics)
+        used = "lobpcg"
 
     vecs = _fix_signs(np.asarray(vecs))
     res = _residuals(mat, vals, vecs)

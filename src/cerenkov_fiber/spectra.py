@@ -314,8 +314,9 @@ class OverlapDistribution:
     """Spectral weights of the bare state near P^2/2.
 
     Rows are eigenpairs on the dense path; on the vacuum-Lanczos path they
-    are the nodes and weights of an m-node Gauss rule (`nodes` = m), and
-    `bracket` certifies the window's true weight.
+    are the nodes and weights of an m-node Gauss rule (`nodes` = m) inside
+    the window, and `bracket` certifies the window's true weight.  `mean`
+    and `spread` are NaN when the rows carry no weight.
     """
 
     energies: np.ndarray
@@ -370,8 +371,10 @@ def vacuum_overlap_distribution(
     window weight is narrower than OVERLAP_BRACKET_WIDTH (or the Krylov space
     closes, where the rule is exact); EigensolverError when the basis would
     need more than LANCZOS_MEMORY_BUDGET bytes first.  Rows are those in the
-    window, or the `min_pairs` nearest P^2/2 when it holds fewer; the result
-    is flagged when their weight stays below `capture_target`.
+    window; on the dense path the `min_pairs` nearest P^2/2 join them when it
+    holds fewer (a short Gauss rule's nearest nodes would stand for weight
+    far outside the window).  The result is flagged when the rows' weight
+    stays below `capture_target`.
     """
     P = np.asarray(P, dtype=float).reshape(3)
     center = 0.5 * float(P @ P)
@@ -405,17 +408,18 @@ def vacuum_overlap_distribution(
             )
 
     selected = np.nonzero((vals >= lo) & (vals <= hi))[0]
-    if len(selected) < min_pairs:
+    if nodes is None and len(selected) < min_pairs:
         nearest = np.argsort(np.abs(vals - center))[: min(min_pairs, len(vals))]
         selected = np.unique(np.concatenate([selected, nearest]))
     energies = vals[selected]
     weights = all_weights[selected]
     captured = float(weights.sum())
-    if captured <= 0.0:
-        raise EigensolverError("no spectral weight captured in the window")
-    probs = weights / captured
-    mean = float(probs @ energies)
-    spread = float(probs @ (energies - mean) ** 2)
+    if captured > 0.0:
+        probs = weights / captured
+        mean = float(probs @ energies)
+        spread = float(probs @ (energies - mean) ** 2)
+    else:  # a window between Gauss nodes: no rows, weight within the bracket
+        mean = spread = math.nan
     low = captured < capture_target
     if low:
         warnings.warn(

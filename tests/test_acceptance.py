@@ -310,7 +310,7 @@ def test_c11_oracle_equivalence_small_instances():
         )
         h = build_fiber_hamiltonian(params)
         dense = lowest_eigenpairs(h, 5, tol=SOLVER_TOL, method="dense")
-        lanczos = lowest_eigenpairs(h, 5, tol=SOLVER_TOL, method="lanczos")
+        lobpcg = lowest_eigenpairs(h, 5, tol=SOLVER_TOL, method="lobpcg")
         # a cutoff between the Schur block and the dimension routes auto to
         # the certified shift-invert path
         schur = lowest_eigenpairs(
@@ -319,7 +319,7 @@ def test_c11_oracle_equivalence_small_instances():
         ok &= schur.method == "schur"
         gap = max(
             float(np.max(np.abs(dense.eigenvalues - other.eigenvalues)))
-            for other in (lanczos, schur)
+            for other in (lobpcg, schur)
         )
         ok &= gap <= 1e-8
         details.append(f"dim={basis.dimension}: {gap:.1e}")

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 import scipy.linalg
@@ -196,6 +199,24 @@ def test_scan_and_virial_on_symmetric_grid(tmp_path):
         "virial", "--config", str(path), "--out", str(tmp_path),
         "--p", "0,0,0.5", "--g", "0.1",
     ]) == 0
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate pulls in scipy.optimize; only golden_rule_rate needs it
+    code = (
+        "import sys, cerenkov_fiber.cli; "
+        "print('scipy.integrate' in sys.modules)"
+    )
+    src = os.path.dirname(os.path.dirname(spectra.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_unknown_flag_exit_code(capsys, config_path):

@@ -13,9 +13,12 @@ from cerenkov_fiber.grids import AngularSpec, MomentumGrid, RadialSpec, build_gr
 from cerenkov_fiber.hamiltonian import free_fiber_diagonal
 from cerenkov_fiber.spectra import (
     DEGENERACY_TOL,
+    LANCZOS_MEMORY_BUDGET,
     OVERLAP_BRACKET_WIDTH,
     FiberModel,
     ResonantModeError,
+    _gauss_rule,
+    _vacuum_lanczos,
     curvature_fd,
     fh_gradient,
     golden_rule_estimate,
@@ -71,9 +74,9 @@ def test_free_slope_above_threshold_near_unity(scan_model):
 def test_scan_marks_failed_points_and_continues():
     grid = build_grid(RadialSpec(0.05, 1.0, 10, "geometric"), AngularSpec(6, 1))
     basis = build_basis(grid, 2)
-    # dim 1,891 with a Schur block of 61: a cutoff of 10 forces Lanczos, 100
+    # dim 1,891 with a Schur block of 61: a cutoff of 10 forces LOBPCG, 100
     # the Schur path, so the iteration budget can fail on either
-    for dense_cutoff, method in ((10, "lanczos"), (100, "schur")):
+    for dense_cutoff, method in ((10, "lobpcg"), (100, "schur")):
         model = FiberModel(
             grid=grid,
             basis=basis,
@@ -346,23 +349,30 @@ def test_overlap_gauss_rule_matches_vacuum_moments(
     model = request.getfixturevalue(name)
     P, g = model.on_axis(p_mag), 0.05
     center = 0.5 * float(P @ P)
-    # min_pairs = dim: every node of the rule is a row
-    dist = _overlap_quietly(_gauss_path(model), P, g, min_pairs=model.basis.dimension)
-    assert dist.nodes == len(dist.energies)
-    assert np.all(dist.weights >= 0.0)
-    assert dist.weights.sum() <= 1.0 + 1e-12
+    dist = _overlap_quietly(_gauss_path(model), P, g)
+    # the whole rule, of which the rows are the nodes inside the window
+    mat = model.hamiltonian(P, g).matrix
+    alpha, beta, _ = _vacuum_lanczos(mat, dist.window, LANCZOS_MEMORY_BUDGET)
+    rule, rule_weights = _gauss_rule(alpha, beta[:-1])
+    assert dist.nodes == len(rule)
+    lo, hi = dist.window
+    inside = (rule >= lo) & (rule <= hi)
+    np.testing.assert_array_equal(dist.energies, rule[inside])
+    np.testing.assert_array_equal(dist.weights, rule_weights[inside])
+    assert np.all(rule_weights >= 0.0)
+    assert rule_weights.sum() <= 1.0 + 1e-12
     vals, weights = vacuum_measure(model, P, g)
     # moments of (H - c) / s, s the spectral radius about c: all at most 1
     scale = np.max(np.abs(vals - center))
-    nodes, exact = (dist.energies - center) / scale, (vals - center) / scale
+    nodes, exact = (rule - center) / scale, (vals - center) / scale
     for k in range(2 * dist.nodes):
         assert weights @ exact**k == pytest.approx(
-            dist.weights @ nodes**k, rel=0, abs=1e-10
+            rule_weights @ nodes**k, rel=0, abs=1e-10
         ), k
     # second-moment sum rule: ||(H - c) e_0||^2 = g^2 sum_m vol_m rho_m^2
-    column = model.hamiltonian(P, g).matrix[:, 0].toarray().ravel()
+    column = mat[:, 0].toarray().ravel()
     column[0] -= center
-    moment = dist.weights @ (dist.energies - center) ** 2
+    moment = rule_weights @ (rule - center) ** 2
     assert moment == pytest.approx(column @ column, rel=1e-10)
 
 
@@ -393,6 +403,9 @@ def test_overlap_gauss_bracket_holds_dense_weight(
     assert upper - lower <= OVERLAP_BRACKET_WIDTH
     assert dist.nodes >= 1
     assert dist.captured_weight == pytest.approx(dist.weights.sum(), rel=1e-15)
+    # the rows are the window's nodes, whose weight the bracket holds too
+    assert np.all((dist.energies >= lo) & (dist.energies <= hi))
+    assert lower - 1e-12 <= dist.captured_weight <= upper + 1e-12
 
 
 def test_overlap_gauss_rule_exact_when_krylov_space_closes():
@@ -408,13 +421,14 @@ def test_overlap_gauss_rule_exact_when_krylov_space_closes():
     )
     P, g = model.on_axis(1.5), 0.3
     e0 = model.lowest(P, g).ground_energy
-    dist = _overlap_quietly(model, P, g, window=(e0 - 1e-12, 1.3), min_pairs=45)
+    dist = _overlap_quietly(model, P, g, window=(e0 - 1e-12, 1.3))
     vals, vecs = scipy.linalg.eigh(model.hamiltonian(P, g).matrix.toarray())
     energies, weights = _cluster_sums(vals, vecs[0] ** 2)
     carried = weights > 1e-14
     assert dist.nodes == np.sum(carried) < model.basis.dimension
-    np.testing.assert_allclose(dist.energies, energies[carried], rtol=0, atol=1e-13)
-    np.testing.assert_allclose(dist.weights, weights[carried], rtol=0, atol=1e-13)
+    rows = carried & (energies >= e0 - 1e-12) & (energies <= 1.3)
+    np.testing.assert_allclose(dist.energies, energies[rows], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(dist.weights, weights[rows], rtol=0, atol=1e-13)
     inside = weights[(energies >= e0 - 1e-12) & (energies <= 1.3)].sum()
     lower, upper = dist.bracket
     assert lower == upper == pytest.approx(inside, abs=1e-13)
