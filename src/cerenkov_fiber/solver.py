@@ -9,7 +9,8 @@
   of the matrix's trailing diagonal block, when the complement has at most
   `dense_cutoff` rows;
 - "lobpcg": block LOBPCG preconditioned by the inverse shifted diagonal
-  otherwise (Knyazev, SIAM J. Sci. Comput. 23 (2001) 517).
+  otherwise (Knyazev, SIAM J. Sci. Comput. 23 (2001) 517), which stops as
+  soon as the requested pairs converge.
 
 Every path verifies residual norms against the requested tolerance and fixes
 eigenvector signs for reproducible output files.  The iterative start vectors
@@ -19,13 +20,12 @@ was missed, and restarts deflated against the pairs found while one was; the
 LOBPCG path carries no such certificate.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 from scipy import sparse
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, lobpcg
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from cerenkov_fiber.hamiltonian import SparseHermitianOperator
 
@@ -34,17 +34,26 @@ DENSE_CUTOFF = 2000
 SHIFT_BRACKET_SHARE = 1e-6
 # LOBPCG preconditions with (diag H - sigma)^-1, sigma this far below
 # min(diag H), so it is positive definite.  On a dim-368k n_max = 3 fiber
-# the ground state took 20 iterations at 5e-2, 24 at 1e-3 and 45 with sigma
-# at the Gershgorin bound
+# the ground state took 19 iterations at 5e-2, 58 at 1e-3 and 44 with sigma
+# at the Gershgorin bound; four pairs took 31, 38 and 70
 LOBPCG_SHIFT_OFFSET = 5e-2
-# block columns beyond `count` when count > 1: a level just above the last
-# requested one otherwise stalls that column's convergence
-LOBPCG_GUARD_COLUMNS = 2
-# iteration budget when the caller sets none (lobpcg's own default is 20)
+# block vectors beyond `count`: a level just above the last requested one
+# otherwise slows that vector's convergence.  Above threshold on a dim-12k
+# n_max = 3 fiber the ground state alone took 1000 iterations, with two
+# guards 202; below threshold on the dim-368k fiber 20 and 19, where the
+# guards triple the cost of a step
+LOBPCG_GUARDS = 2
+# a direction whose Gram eigenvalue is below this share of the largest is
+# dependent on the others and left out of the LOBPCG search space
+LOBPCG_DROP = 1e-12
+# iteration budget when the caller sets none
 LOBPCG_MAXITER = 1000
 # size of the random perturbation of the unit-vector start block, which
 # seeds every symmetry sector
 LOBPCG_START_NOISE = 1e-3
+# columns per chunk of an in-place LOBPCG block update: the temporaries stay
+# small and the chunk of a block stays in cache
+LOBPCG_CHUNK = 8192
 
 
 class EigensolverError(RuntimeError):
@@ -232,52 +241,120 @@ def _arpack(mat, count, tol, maxiter, v0, **selection):
     return vals[order], vecs[:, order]
 
 
+def _column_chunks(dim: int):
+    """Column slices of LOBPCG_CHUNK, for in-place block updates."""
+    return (slice(i, i + LOBPCG_CHUNK) for i in range(0, dim, LOBPCG_CHUNK))
+
+
+def _orthonormal(rows, against=None):
+    """Orthonormal basis, as rows, of the part of `rows` orthogonal to `against`.
+
+    Vectors are rows here, contiguous in memory; `against` has orthonormal
+    rows, and `rows` is overwritten.  Two rounds of projection and SVQB
+    (Stathopoulos & Wu, SIAM J. Sci. Comput. 23 (2002) 2165): the Gram
+    matrix scaled to unit diagonal is diagonalized, and the rows are mapped
+    onto its eigenvectors over the roots of its eigenvalues in one pass.
+    Directions whose eigenvalue is below LOBPCG_DROP of the largest are
+    dropped as linearly dependent, so the result may have fewer rows.  One
+    round is not enough: the loss of orthogonality it leaves gave levels
+    wrong by up to 1.0 on small fiber models.
+    """
+    for _ in range(2):
+        coef = None if against is None else rows @ against.T
+        gram = np.zeros((len(rows), len(rows)))
+        for cols in _column_chunks(rows.shape[1]):
+            chunk = rows[:, cols]
+            if coef is not None:
+                chunk -= coef @ against[:, cols]
+            gram += chunk @ chunk.T
+        norms = np.sqrt(np.diagonal(gram))
+        live = norms > 0.0
+        if not live.all():
+            rows, gram, norms = rows[live], gram[np.ix_(live, live)], norms[live]
+        if len(rows) == 0:
+            break
+        lam, rot = np.linalg.eigh(gram / np.outer(norms, norms))
+        keep = lam > LOBPCG_DROP * lam[-1]
+        transform = (rot[:, keep] / np.sqrt(lam[keep]) / norms[:, None]).T
+        for cols in _column_chunks(rows.shape[1]):
+            rows[: len(transform), cols] = transform @ rows[:, cols]
+        rows = rows[: len(transform)]
+    return rows
+
+
 def _lobpcg_pairs(mat, count, tol, maxiter):
-    """Lowest `count` pairs by LOBPCG.
+    """Lowest `count` pairs by block LOBPCG.
 
     H_P is a free diagonal plus a coupling, so (diag H - sigma)^-1 is a good
     preconditioner.  The start block is the unit vectors on the lowest
-    diagonal entries, perturbed by a fixed-seed random block.  lobpcg runs
-    until every block column converges, so guard columns are added only for
-    count > 1: a lone ground-state column needs none, and guards beside it
-    cost a column each per iteration and must converge on the levels above,
-    which come in near-degenerate clusters.  A run that misses the
-    tolerance returns its best iterate, whose residuals the caller checks.
+    diagonal entries, perturbed by a fixed-seed random block.  Each step
+    takes the Rayleigh-Ritz pairs of span[X, P, W]: the block X, the
+    implicit direction P (the new Ritz vectors' part outside the old block)
+    and the preconditioned residuals W of X's unconverged vectors (Knyazev
+    2001; Hetmaniuk & Lehoucq, J. Comput. Phys. 218 (2006) 324).  All three
+    are kept orthonormal, P in the small Ritz coordinates, where it costs no
+    product with H.  Guard vectors beyond `count` speed up the last
+    requested ones, but the run stops as soon as those `count` meet the
+    inner tolerance.  A run that misses it returns its last iterate, whose
+    residuals the caller checks.
+
+    H is so sparse that the dense block operations, not the products with
+    H, set the cost of a step.  So the search space and its image under H
+    live in two preallocated arrays with one vector per row, [X; P; W] in
+    that order, which a step updates in place a chunk of columns at a time.
     """
     dim = mat.shape[0]
-    block = min(count + (LOBPCG_GUARD_COLUMNS if count > 1 else 0), dim)
+    block = min(count + LOBPCG_GUARDS, dim)
+    inner = tol * 1e-2
+    limit = LOBPCG_MAXITER if maxiter is None else maxiter
     diag = mat.diagonal()
     scale = 1.0 / (diag - (diag.min() - LOBPCG_SHIFT_OFFSET))
+    span = np.empty((3 * block, dim))
+    image = np.empty_like(span)
     start = LOBPCG_START_NOISE * np.random.default_rng(0).standard_normal(
-        (dim, block)
+        (block, dim)
     )
-    start[np.argsort(diag, kind="stable")[:block], np.arange(block)] += 1.0
-    products = 0
-
-    def apply(x):
-        nonlocal products
-        products += 1
-        return mat @ x
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # non-convergence shows in residuals
-        vals, vecs = lobpcg(
-            apply,
-            start,
-            M=lambda x: scale[:, None] * x,
-            tol=tol * 1e-2,
-            maxiter=LOBPCG_MAXITER if maxiter is None else maxiter,
-            largest=False,
-        )
-    order = np.argsort(vals, kind="stable")[:count]
+    start[np.arange(block), np.argsort(diag, kind="stable")[:block]] += 1.0
+    span[:block] = _orthonormal(start)
+    del start
+    used = block  # rows of span in the search space
+    residual = np.empty((block, dim))
+    for i in range(block):
+        image[i] = mat @ span[i]
+    iterations = 0
+    while True:
+        small = span[:used] @ image[:used].T
+        vals, coef = scipy.linalg.eigh(0.5 * (small + small.T))
+        vals, ritz = vals[:block], coef[:, :block].T
+        step = ritz.copy()
+        step[:, :block] = 0.0  # the first `block` coordinates are the old X
+        new = np.vstack([ritz, _orthonormal(step, ritz)])
+        kept = len(new)
+        for cols in _column_chunks(dim):
+            span[:kept, cols] = new @ span[:used, cols]
+            image[:kept, cols] = new @ image[:used, cols]
+            np.multiply(span[:block, cols], -vals[:, None], out=residual[:, cols])
+            residual[:, cols] += image[:block, cols]
+        norms = np.sqrt(np.einsum("ij,ij->i", residual, residual))
+        if np.all(norms[:count] <= inner) or iterations == limit:
+            break
+        active = residual if np.all(norms > inner) else residual[norms > inner]
+        active *= scale
+        w = _orthonormal(active, span[:kept])
+        if len(w) == 0:  # nothing left to search: the run has stalled
+            break
+        iterations += 1
+        used = kept + len(w)
+        span[kept:used] = w
+        for i in range(kept, used):
+            image[i] = mat @ span[i]
     diagnostics = {
-        # one product per iteration, plus the first and last Rayleigh-Ritz
-        "iterations": max(products - 2, 0),
+        "iterations": iterations,
         "block": block,
         "start_vector": "lowest_diagonal_perturbed",
         "certified": False,
     }
-    return vals[order], vecs[:, order], diagnostics
+    return vals[:count], span[:count].T.copy(), diagnostics
 
 
 def _inertia_counts(blocks: SchurBlocks, vals: np.ndarray, tol: float) -> dict:

@@ -315,8 +315,9 @@ class OverlapDistribution:
 
     Rows are eigenpairs on the dense path; on the vacuum-Lanczos path they
     are the nodes and weights of an m-node Gauss rule (`nodes` = m) inside
-    the window, and `bracket` certifies the window's true weight.  `mean`
-    and `spread` are NaN when the rows carry no weight.
+    the window, and `bracket` certifies the window's true weight.  A window
+    that holds no node has no rows, NaN `mean` and `spread`, and a bracket
+    at most OVERLAP_BRACKET_WIDTH wide above 0.
     """
 
     energies: np.ndarray
@@ -374,7 +375,8 @@ def vacuum_overlap_distribution(
     window; on the dense path the `min_pairs` nearest P^2/2 join them when it
     holds fewer (a short Gauss rule's nearest nodes would stand for weight
     far outside the window).  The result is flagged when the rows' weight
-    stays below `capture_target`.
+    stays below `capture_target`; on the dense path rows without weight
+    raise EigensolverError.
     """
     P = np.asarray(P, dtype=float).reshape(3)
     center = 0.5 * float(P @ P)
@@ -418,7 +420,9 @@ def vacuum_overlap_distribution(
         probs = weights / captured
         mean = float(probs @ energies)
         spread = float(probs @ (energies - mean) ** 2)
-    else:  # a window between Gauss nodes: no rows, weight within the bracket
+    elif nodes is None:  # the padded rows hold no weight either
+        raise EigensolverError("no spectral weight captured in the window")
+    else:  # no Gauss node in the window, whose weight is within the bracket
         mean = spread = math.nan
     low = captured < capture_target
     if low:

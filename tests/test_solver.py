@@ -110,6 +110,26 @@ def test_lobpcg_finds_multiplet_partners(config, p_mag, options):
     assert res.diagnostics["iterations"] >= 1
 
 
+def test_lobpcg_stops_when_requested_pairs_converge():
+    # levels 3 to 12 form a cluster 1e-6 wide, where the two guard vectors
+    # of a count = 2 block converge only after hundreds of steps; the run
+    # stops on the two requested pairs instead of waiting for them
+    n = 400
+    diag = np.concatenate(
+        [[0.0, 1.0], 2.0 + 1e-6 * np.arange(10), np.linspace(3.0, 10.0, n - 12)]
+    )
+    coupling = 0.02 * sparse.random(n, n, density=0.02, random_state=4)
+    mat = sparse.csr_matrix(sparse.diags(diag) + coupling + coupling.T)
+    exact = scipy.linalg.eigvalsh(mat.toarray(), subset_by_index=(0, 3))
+    res = lowest_eigenpairs(mat, 2, tol=1e-9, method="lobpcg")
+    assert res.diagnostics["block"] == 4
+    assert res.diagnostics["iterations"] < 30
+    assert res.eigenvalues == pytest.approx(exact[:2], abs=1e-12)
+    cluster = lowest_eigenpairs(mat, 4, tol=1e-9, method="lobpcg")
+    assert cluster.eigenvalues == pytest.approx(exact, abs=1e-12)
+    assert cluster.diagnostics["iterations"] > 100
+
+
 def test_certificate_mismatch_raises(monkeypatch):
     mat = sparse.csr_matrix(random_with_trailing_diagonal(t=60))
     true_count = SchurBlocks.count_below

@@ -11,6 +11,7 @@ from cerenkov_fiber.fock import build_basis
 from cerenkov_fiber.formfactor import FormFactor
 from cerenkov_fiber.grids import AngularSpec, MomentumGrid, RadialSpec, build_grid
 from cerenkov_fiber.hamiltonian import free_fiber_diagonal
+from cerenkov_fiber.solver import EigensolverError
 from cerenkov_fiber.spectra import (
     DEGENERACY_TOL,
     LANCZOS_MEMORY_BUDGET,
@@ -406,6 +407,49 @@ def test_overlap_gauss_bracket_holds_dense_weight(
     # the rows are the window's nodes, whose weight the bracket holds too
     assert np.all((dist.energies >= lo) & (dist.energies <= hi))
     assert lower - 1e-12 <= dist.captured_weight <= upper + 1e-12
+
+
+def _empty_windows(vals, weights):
+    """Windows of the vacuum's measure that hold no weight: below the
+    spectrum, and the middle third of the gap between the two lowest levels
+    that carry weight."""
+    vals, weights = _cluster_sums(vals, weights)
+    first, second = vals[weights > 1e-12][:2]
+    third = (second - first) / 3.0
+    return [(first - 2.0, first - 1.0), (first + third, second - third)]
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_overlap_gauss_window_without_nodes(
+    tmp_path, scan_model, vacuum_measure, which
+):
+    # the rule puts no node in a window that holds no weight: the result has
+    # no rows, and the bracket certifies the window's weight below its width
+    P, g = scan_model.on_axis(0.5), 0.05
+    window = _empty_windows(*vacuum_measure(scan_model, P, g))[which]
+    with pytest.warns(UserWarning, match="captured only 0.0000"):
+        dist = vacuum_overlap_distribution(_gauss_path(scan_model), P, g, window=window)
+    assert len(dist.energies) == len(dist.weights) == 0
+    assert dist.nodes >= 1
+    assert dist.captured_weight == 0.0 and dist.low_capture
+    assert math.isnan(dist.mean) and math.isnan(dist.spread)
+    lower, upper = dist.bracket
+    assert lower == 0.0 and upper <= OVERLAP_BRACKET_WIDTH
+    path = tmp_path / "overlap.csv"
+    dist.to_csv(path)
+    assert path.read_text().splitlines() == [
+        "# captured_weight=0.0 low_capture=true",
+        f"# rows=gauss_nodes nodes={dist.nodes} captured_bracket=0.0,{upper!r}",
+        "energy,weight",
+    ]
+
+
+def test_overlap_dense_rows_without_weight_raise(scan_model, vacuum_measure):
+    # on the dense path zero weight survives only without padding rows
+    P, g = scan_model.on_axis(0.5), 0.05
+    window = _empty_windows(*vacuum_measure(scan_model, P, g))[0]
+    with pytest.raises(EigensolverError, match="no spectral weight"):
+        vacuum_overlap_distribution(scan_model, P, g, window=window, min_pairs=0)
 
 
 def test_overlap_gauss_rule_exact_when_krylov_space_closes():
