@@ -11,7 +11,7 @@ rates, and trial-state decay elements.
 from cerenkov_fiber.grids import AngularSpec, MomentumGrid, RadialSpec, build_grid
 from cerenkov_fiber.fock import FockBasis, build_basis
 from cerenkov_fiber.formfactor import FormFactor
-from cerenkov_fiber.hamiltonian import FiberParams, build_fiber_hamiltonian
+from cerenkov_fiber.hamiltonian import build_fiber_hamiltonian
 from cerenkov_fiber.spectra import FiberModel
 
 __version__ = "0.1.0"
@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AngularSpec",
     "FiberModel",
-    "FiberParams",
     "FockBasis",
     "FormFactor",
     "MomentumGrid",

@@ -11,7 +11,7 @@ concentrates a one-boson wave packet on it with energy width epsilon.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,8 @@ from cerenkov_fiber.grids import MomentumGrid
 from cerenkov_fiber.smoothing import bump
 
 _ROOT_ATOL = 1e-12
+# relative accuracy asked of the golden-rule quadrature
+GOLDEN_RULE_REL_TOL = 1e-9
 
 
 class EmptyWindowError(RuntimeError):
@@ -63,13 +65,14 @@ def cerenkov_threshold(p_mag: float) -> float | None:
     return 1.0 / p_mag
 
 
-def golden_rule_rate(P, g: float, ff: FormFactor, rel_tol: float = 1e-9) -> float:
+def golden_rule_rate(P, g: float, ff: FormFactor) -> float:
     """Decay rate of the bare state into the one-boson resonance surface.
 
     Gamma = 2 pi g^2 integral d^3k rho(|k|)^2 delta((P-k)^2/2 + |k| - P^2/2),
     reduced to a 1D integral over cos(theta): the root r* = 2(|P| c - 1)
     carries radial Jacobian 1/(|P| c - 1), leaving the integrand
-    4 (|P| c - 1) rho(r*)^2.  Zero below the threshold |P| <= 1.
+    4 (|P| c - 1) rho(r*)^2, integrated to GOLDEN_RULE_REL_TOL.  Zero below
+    the threshold |P| <= 1.
     """
     p = _p_magnitude(P)
     if p <= 1.0:
@@ -89,7 +92,7 @@ def golden_rule_rate(P, g: float, ff: FormFactor, rel_tol: float = 1e-9) -> floa
     from scipy import integrate
 
     value, _ = integrate.quad(
-        integrand, c_lo, c_hi, epsrel=rel_tol, epsabs=1e-300, limit=200
+        integrand, c_lo, c_hi, epsrel=GOLDEN_RULE_REL_TOL, epsabs=1e-300, limit=200
     )
     return 4.0 * math.pi**2 * g * g * value
 
@@ -98,13 +101,13 @@ def golden_rule_rate(P, g: float, ff: FormFactor, rel_tol: float = 1e-9) -> floa
 class TrialSpec:
     """One-boson wave packet concentrated on the resonance surface.
 
-    `profile` is a nonnegative compactly supported bump on [-1, 1] with
-    peak 1; `energy` is the target total energy and `epsilon` the width.
+    `energy` is the target total energy and `epsilon` the width of the
+    energy window; the packet's profile is `smoothing.bump`, a nonnegative
+    bump supported on [-1, 1] with peak 1.
     """
 
     epsilon: float
     energy: float
-    profile: callable = field(default=bump)
 
     def __post_init__(self):
         if not self.epsilon > 0.0:
@@ -122,7 +125,7 @@ def trial_state(P, spec: TrialSpec, grid: MomentumGrid, basis: FockBasis):
     diff = P[None, :] - grid.k
     free = 0.5 * np.einsum("md,md->m", diff, diff) + grid.magnitudes
     z = (free - spec.energy) / spec.epsilon
-    amps = np.sqrt(grid.vol) * spec.profile(z) / math.sqrt(spec.epsilon)
+    amps = np.sqrt(grid.vol) * bump(z) / math.sqrt(spec.epsilon)
     if not np.any(amps != 0.0):
         raise EmptyWindowError(
             f"no grid mode within the energy window of width {spec.epsilon} "
@@ -171,9 +174,3 @@ def trial_scaling(
         element = decay_element(eta, ff, g, basis)
         rows.append((float(eps), abs(element), norm, abs(element) / norm))
     return rows
-
-
-def fit_loglog_slope(x, y) -> float:
-    """Least-squares slope of log y against log x."""
-    lx, ly = np.log(np.asarray(x, dtype=float)), np.log(np.asarray(y, dtype=float))
-    return float(np.polyfit(lx, ly, 1)[0])

@@ -97,10 +97,13 @@ def _out_path(args, name: str) -> str:
 
 
 def _cmd_spectrum(args) -> int:
+    if args.pairs is not None and args.pairs < 1:
+        raise UsageError(f"--pairs must be >= 1, got {args.pairs}")
     cfg = _load(args)
     model = make_model(cfg)
     P = _parse_vector(args.p)
-    result = model.lowest(P, args.g, count=args.pairs or cfg.pairs)
+    pairs = cfg.pairs if args.pairs is None else args.pairs
+    result = model.lowest(P, args.g, count=pairs)
     psi = result.ground_vector()
     grad = fh_gradient(result, P, model.basis)
     record = {

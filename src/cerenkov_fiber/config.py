@@ -29,6 +29,14 @@ def _is_real(value) -> bool:
     return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
 
 
+# RunConfig fields by JSON type; `e_cut` and `solver_maxiter` may also be null,
+# and `radial_spacing` and `experiment` are checked by value
+_REAL_FIELDS = (
+    "k_min", "k_max", "amplitude", "beta", "cutoff", "smooth_width", "solver_tol"
+)
+_INT_FIELDS = ("radial_count", "polar_count", "azimuthal_count", "n_max", "pairs")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """The typed `experiment` object: per-command extras with their defaults.
@@ -126,7 +134,19 @@ class RunConfig:
         )
 
     def validate(self) -> "RunConfig":
-        """Check every field against the owning module's preconditions."""
+        """Check every field's type, then its value against the owning
+        module's preconditions."""
+        for name in _REAL_FIELDS:
+            if not _is_real(getattr(self, name)):
+                raise ConfigError(f"{name} must be a finite number")
+        for name in _INT_FIELDS:
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer")
+        if not (self.e_cut is None or _is_real(self.e_cut)):
+            raise ConfigError("e_cut must be null or a finite number")
+        maxiter = self.solver_maxiter
+        if not (maxiter is None or (_is_int(maxiter) and maxiter >= 1)):
+            raise ConfigError("solver_maxiter must be null or an integer >= 1")
         try:
             self.radial_spec()
             self.angular_spec()

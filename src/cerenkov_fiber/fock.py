@@ -216,24 +216,22 @@ def _extend(parents, energy, mode_energy, limit):
 
 
 def build_basis(
-    grid: MomentumGrid,
-    n_max: int,
-    e_cut: float | None = None,
-    max_dim: int = DEFAULT_DIM_BUDGET,
+    grid: MomentumGrid, n_max: int, e_cut: float | None = None
 ) -> FockBasis:
     """Enumerate all admissible occupations in the frozen canonical order.
 
     Level n holds the n-boson words.  With an energy cut, a word is kept when
     its energy, summed in word order, is at most e_cut (plus a relative
     1e-12 slack); every prefix of a kept word is kept too, since mode
-    energies are nonnegative, so each level extends the one before.
+    energies are nonnegative, so each level extends the one before.  Raises
+    BasisSizeError once the dimension passes DEFAULT_DIM_BUDGET.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if e_cut is None:
         dim = untruncated_dimension(grid.n_modes, n_max)
-        if dim > max_dim:
-            raise BasisSizeError(dim, max_dim)
+        if dim > DEFAULT_DIM_BUDGET:
+            raise BasisSizeError(dim, DEFAULT_DIM_BUDGET)
         limit = math.inf
     else:
         limit = float(e_cut) + 1e-12 * max(1.0, abs(float(e_cut)))
@@ -244,8 +242,8 @@ def build_basis(
         blocks = []
         for block in _extend(levels[-1], energy, grid.magnitudes, limit):
             dim += len(block[0])
-            if dim > max_dim:
-                raise BasisSizeError(dim, max_dim)
+            if dim > DEFAULT_DIM_BUDGET:
+                raise BasisSizeError(dim, DEFAULT_DIM_BUDGET)
             blocks.append(block)
         words = np.concatenate([w for w, _ in blocks])
         if len(words) == 0:

@@ -127,20 +127,18 @@ def _radial_cells(spec: RadialSpec):
     return edges, nodes, measures
 
 
-def build_grid(
-    radial: RadialSpec,
-    angular: AngularSpec,
-    mode_budget: int = DEFAULT_MODE_BUDGET,
-) -> MomentumGrid:
+def build_grid(radial: RadialSpec, angular: AngularSpec) -> MomentumGrid:
     """Build the product quadrature grid over the momentum shell.
 
     Mode ordering is radial-major, then polar, then azimuthal; frozen so that
-    result files are reproducible bit-for-bit across runs.
+    result files are reproducible bit-for-bit across runs.  Raises GridError
+    when the grid would have more than DEFAULT_MODE_BUDGET modes.
     """
     n_modes = radial.count * angular.polar_count * angular.azimuthal_count
-    if n_modes > mode_budget:
+    if n_modes > DEFAULT_MODE_BUDGET:
         raise GridError(
-            f"grid would have {n_modes} modes, exceeding the budget of {mode_budget}"
+            f"grid would have {n_modes} modes, exceeding the budget of "
+            f"{DEFAULT_MODE_BUDGET}"
         )
 
     edges, r_nodes, r_measures = _radial_cells(radial)
@@ -168,12 +166,3 @@ def build_grid(
         angular_nodes=angular.polar_count * angular.azimuthal_count,
         radial_edges=edges,
     )
-
-
-def grid_to_csv(grid: MomentumGrid, path) -> None:
-    """Dump modes as CSV rows k_x,k_y,k_z,vol with round-trip floats."""
-    lines = ["k_x,k_y,k_z,vol"]
-    for row, v in zip(grid.k, grid.vol):
-        lines.append(",".join(repr(float(x)) for x in (*row, v)))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

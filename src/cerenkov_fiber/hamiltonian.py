@@ -23,26 +23,10 @@ class SparseHermitianOperator:
     matrix: sparse.csr_matrix
 
 
-@dataclass
-class FiberParams:
-    """Inputs fixing one fiber Hamiltonian: total momentum, coupling, model."""
-
-    P: np.ndarray
-    g: float
-    grid: MomentumGrid
-    basis: FockBasis
-    form_factor: FormFactor
-
-    def __post_init__(self):
-        self.P = np.asarray(self.P, dtype=float).reshape(3)
-        if not np.all(np.isfinite(self.P)) or not np.isfinite(self.g):
-            raise ValueError("P and g must be finite")
-
-
-def free_fiber_diagonal(params: FiberParams) -> np.ndarray:
+def free_fiber_diagonal(basis: FockBasis, P) -> np.ndarray:
     """Per-state free energy (P - sum n k)^2 / 2 + sum n |k|."""
-    diff = params.P[None, :] - params.basis.total_momentum
-    return 0.5 * np.einsum("sd,sd->s", diff, diff) + params.basis.free_field_energy
+    diff = np.asarray(P, dtype=float).reshape(3)[None, :] - basis.total_momentum
+    return 0.5 * np.einsum("sd,sd->s", diff, diff) + basis.free_field_energy
 
 
 def interaction_coefficients(
@@ -81,18 +65,28 @@ def displacement_expectation(
     return float(2.0 * np.sum(vec[rows] * vec[cols] * coefficients[modes] * amps))
 
 
-def build_interaction(params: FiberParams) -> SparseHermitianOperator:
+def build_interaction(
+    basis: FockBasis, form_factor: FormFactor
+) -> SparseHermitianOperator:
     """The field displacement smeared with the coupling profile."""
     return build_displacement(
-        params.basis, interaction_coefficients(params.grid, params.form_factor)
+        basis, interaction_coefficients(basis.grid, form_factor)
     )
 
 
-def build_fiber_hamiltonian(params: FiberParams) -> SparseHermitianOperator:
-    """Free diagonal plus g times the smeared displacement; exactly symmetric."""
-    diag = sparse.diags(free_fiber_diagonal(params), format="csr")
-    if params.g == 0.0:
+def build_fiber_hamiltonian(
+    basis: FockBasis, form_factor: FormFactor, P, g: float
+) -> SparseHermitianOperator:
+    """Free diagonal plus g times the smeared displacement; exactly symmetric.
+
+    Raises ValueError unless P and g are finite.
+    """
+    P = np.asarray(P, dtype=float).reshape(3)
+    if not np.all(np.isfinite(P)) or not np.isfinite(g):
+        raise ValueError("P and g must be finite")
+    diag = sparse.diags(free_fiber_diagonal(basis, P), format="csr")
+    if g == 0.0:
         return SparseHermitianOperator(diag)
-    mat = (diag + params.g * build_interaction(params).matrix).tocsr()
+    mat = (diag + g * build_interaction(basis, form_factor).matrix).tocsr()
     mat.eliminate_zeros()
     return SparseHermitianOperator(mat)

@@ -28,9 +28,7 @@ def _normalized(state: np.ndarray, what: str) -> np.ndarray:
 
 
 def expect_number(state, weight, basis: FockBasis) -> float:
-    """<dGamma(w)> for a per-mode weight array (or callable on wavevectors)."""
-    if callable(weight):
-        weight = weight(basis.grid.k)
+    """<dGamma(w)> for a per-mode weight array."""
     psi = _normalized(state, "expect_number")
     diag = basis.dgamma_diagonal(np.asarray(weight, dtype=float))
     return float(np.sum(psi * psi * diag))

@@ -1,6 +1,6 @@
 """Lowest eigenpairs of sparse symmetric operators.
 
-`lowest_eigenpairs(method="auto")` takes the first of four paths that fits:
+`lowest_eigenpairs` takes the first of four paths that fits:
 
 - "diagonal": the matrix is diagonal (e.g. g = 0), so occupation states are
   eigenvectors;
@@ -84,9 +84,7 @@ class SpectralResult:
 def _as_csr(op):
     if isinstance(op, SparseHermitianOperator):
         return op.matrix
-    if sparse.issparse(op):
-        return op.tocsr()
-    return sparse.csr_matrix(np.asarray(op, dtype=float))
+    return sparse.csr_matrix(op)
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -466,28 +464,27 @@ def lowest_eigenpairs(
     op,
     count: int,
     tol: float = 1e-9,
-    method: str = "auto",
     maxiter: int | None = None,
     dense_cutoff: int = DENSE_CUTOFF,
 ) -> SpectralResult:
     """Algebraically smallest `count` eigenpairs of a symmetric operator.
 
-    `method` is one of "auto", "dense", "lobpcg"; the module docstring lists
-    the paths "auto" chooses between.  Raises :class:`EigensolverError` when
-    an iterative path fails to reach the tolerance, carrying the best
-    residuals, or when the Schur path's inertia certificate fails.
-    `maxiter` None means ARPACK's default on the Schur path and
-    LOBPCG_MAXITER on the LOBPCG path.
+    The module docstring lists the paths: with t the start of the trailing
+    diagonal block, a diagonal matrix (t = 0) takes "diagonal", a dimension
+    up to `dense_cutoff` "dense", t up to `dense_cutoff` "schur", and a
+    larger t "lobpcg".  Raises :class:`EigensolverError` when an iterative
+    path fails to reach the tolerance, carrying the best residuals, or when
+    the Schur path's inertia certificate fails.  `maxiter` None means
+    ARPACK's default on the Schur path and LOBPCG_MAXITER on the LOBPCG
+    path.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    if method not in ("auto", "dense", "lobpcg"):
-        raise ValueError(f"unknown method {method!r}")
     mat = _as_csr(op)
     dim = mat.shape[0]
     if not 0 < count <= dim:
         raise ValueError(f"count={count} invalid for dimension {dim}")
-    t = trailing_diagonal_start(mat) if method == "auto" else None
+    t = trailing_diagonal_start(mat)
     diagnostics = {"dimension": dim}
     if t == 0:
         diag = mat.diagonal()
@@ -501,14 +498,12 @@ def lowest_eigenpairs(
             method="diagonal",
             diagnostics=diagnostics,
         )
-    if count == dim or method == "dense" or (
-        method == "auto" and dim <= dense_cutoff
-    ):
+    if count == dim or dim <= dense_cutoff:
         vals, vecs = scipy.linalg.eigh(
             mat.toarray(), subset_by_index=(0, count - 1)
         )
         used = "dense"
-    elif method == "auto" and t <= dense_cutoff:
+    elif t <= dense_cutoff:
         vals, vecs, path_diagnostics = _schur_pairs(mat, t, count, tol, maxiter)
         diagnostics.update(path_diagnostics)
         used = "schur"

@@ -24,11 +24,7 @@ from cerenkov_fiber import cerenkov
 from cerenkov_fiber.fock import FockBasis
 from cerenkov_fiber.formfactor import FormFactor
 from cerenkov_fiber.grids import MomentumGrid
-from cerenkov_fiber.hamiltonian import (
-    FiberParams,
-    SparseHermitianOperator,
-    build_fiber_hamiltonian,
-)
+from cerenkov_fiber.hamiltonian import SparseHermitianOperator, build_fiber_hamiltonian
 from cerenkov_fiber.observables import expect_field_momentum, expect_number
 from cerenkov_fiber.solver import (
     DENSE_CUTOFF,
@@ -40,6 +36,10 @@ from cerenkov_fiber.weights import ShellSpec, shell_weight
 
 P_MAGNITUDE_BUDGET = 10.0
 DEGENERACY_TOL = 1e-9
+# a free-energy gap at or below this is resonant in the second-order sum
+RESONANCE_GAP = 1e-9
+# an overlap result whose rows carry less of the bare-state weight is flagged
+OVERLAP_CAPTURE_TARGET = 0.99
 # vacuum Lanczos stops once the certified bracket on the window weight is
 # narrower than this
 OVERLAP_BRACKET_WIDTH = 1e-4
@@ -75,19 +75,14 @@ class FiberModel:
     dense_cutoff: int = DENSE_CUTOFF
     solver_maxiter: int | None = None
 
-    def params(self, P, g: float) -> FiberParams:
-        return FiberParams(
-            P=P, g=g, grid=self.grid, basis=self.basis, form_factor=self.form_factor
-        )
-
     def hamiltonian(self, P, g: float) -> SparseHermitianOperator:
-        return build_fiber_hamiltonian(self.params(P, g))
+        return build_fiber_hamiltonian(self.basis, self.form_factor, P, g)
 
-    def lowest(self, P, g: float, count: int = 1, tol=None) -> SpectralResult:
+    def lowest(self, P, g: float, count: int = 1) -> SpectralResult:
         return lowest_eigenpairs(
             self.hamiltonian(P, g),
             count=min(count, self.basis.dimension),
-            tol=tol if tol is not None else self.solver_tol,
+            tol=self.solver_tol,
             maxiter=self.solver_maxiter,
             dense_cutoff=self.dense_cutoff,
         )
@@ -99,14 +94,13 @@ class FiberModel:
         return self.lowest(self.on_axis(p_mag), g, count=1).ground_energy
 
 
-def second_order_energy(
-    P, ff: FormFactor, grid: MomentumGrid, min_gap: float = 1e-9
-) -> float:
+def second_order_energy(P, ff: FormFactor, grid: MomentumGrid) -> float:
     """Second-order energy shift per unit g^2, as an independent oracle.
 
     E2 = - sum_m vol_m rho(|k_m|)^2 / gap_m with
     gap_m = (P - k_m)^2/2 + |k_m| - P^2/2.  Fails loudly on any resonant
-    denominator, naming the offending mode.
+    denominator (gap <= RESONANCE_GAP on a coupled mode), naming the
+    offending mode.
     """
     P = np.asarray(P, dtype=float).reshape(3)
     diff = P[None, :] - grid.k
@@ -117,7 +111,7 @@ def second_order_energy(
     )
     rho = ff.value(grid.magnitudes)
     active = rho != 0.0
-    bad = active & (gaps <= min_gap)
+    bad = active & (gaps <= RESONANCE_GAP)
     if np.any(bad):
         worst = int(np.argmin(np.where(bad, gaps, np.inf)))
         raise ResonantModeError(worst, grid.k[worst], float(gaps[worst]))
@@ -313,11 +307,12 @@ def mass_shell_scan(
 class OverlapDistribution:
     """Spectral weights of the bare state near P^2/2.
 
-    Rows are eigenpairs on the dense path; on the vacuum-Lanczos path they
-    are the nodes and weights of an m-node Gauss rule (`nodes` = m) inside
-    the window, and `bracket` certifies the window's true weight.  A window
-    that holds no node has no rows, NaN `mean` and `spread`, and a bracket
-    at most OVERLAP_BRACKET_WIDTH wide above 0.
+    Rows lie inside the window: eigenpairs on the dense path; on the
+    vacuum-Lanczos path the nodes and weights of an m-node Gauss rule
+    (`nodes` = m), and `bracket` certifies the window's true weight.  A
+    window that holds no row has no rows, `captured_weight` 0.0 and NaN
+    `mean` and `spread`; on the Gauss path its bracket is at most
+    OVERLAP_BRACKET_WIDTH wide above 0.
     """
 
     energies: np.ndarray
@@ -356,8 +351,6 @@ def vacuum_overlap_distribution(
     P,
     g: float,
     window="auto",
-    min_pairs: int = 20,
-    capture_target: float = 0.99,
 ) -> OverlapDistribution:
     """Weights |<Psi_j, vacuum>|^2 of the spectrum in a window around P^2/2.
 
@@ -371,12 +364,9 @@ def vacuum_overlap_distribution(
     at the vacuum and run until the Chebyshev-Markov-Stieltjes bracket on the
     window weight is narrower than OVERLAP_BRACKET_WIDTH (or the Krylov space
     closes, where the rule is exact); EigensolverError when the basis would
-    need more than LANCZOS_MEMORY_BUDGET bytes first.  Rows are those in the
-    window; on the dense path the `min_pairs` nearest P^2/2 join them when it
-    holds fewer (a short Gauss rule's nearest nodes would stand for weight
-    far outside the window).  The result is flagged when the rows' weight
-    stays below `capture_target`; on the dense path rows without weight
-    raise EigensolverError.
+    need more than LANCZOS_MEMORY_BUDGET bytes first.  On both paths the
+    rows are those inside the window, possibly none.  The result is flagged
+    when the rows' weight stays below OVERLAP_CAPTURE_TARGET.
     """
     P = np.asarray(P, dtype=float).reshape(3)
     center = 0.5 * float(P @ P)
@@ -391,16 +381,21 @@ def vacuum_overlap_distribution(
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"overlap window needs finite LO < HI, got {window}")
     mat = model.hamiltonian(P, g).matrix
-    nodes = bracket = None
-    if mat.shape[0] <= model.dense_cutoff:
-        vals, all_weights = _tridiagonal_vacuum_spectrum(mat)
-    else:
+    gauss = mat.shape[0] > model.dense_cutoff
+    if gauss:
         alpha, beta, exact = _vacuum_lanczos(mat, (lo, hi), LANCZOS_MEMORY_BUDGET)
         vals, all_weights = _gauss_rule(alpha, beta[:-1])
+    else:
+        vals, all_weights = _tridiagonal_vacuum_spectrum(mat)
+    selected = (vals >= lo) & (vals <= hi)
+    energies = vals[selected]
+    weights = all_weights[selected]
+    captured = float(weights.sum())
+    nodes = bracket = None
+    if gauss:
         nodes = len(vals)
         if exact:
-            inside = float(all_weights[(vals >= lo) & (vals <= hi)].sum())
-            bracket = (inside, inside)
+            bracket = (captured, captured)
         else:
             below_lo, at_lo = _radau_split(alpha, beta, lo)
             below_hi, at_hi = _radau_split(alpha, beta, hi)
@@ -408,23 +403,13 @@ def vacuum_overlap_distribution(
                 max(below_hi - below_lo - at_lo, 0.0),
                 min(below_hi + at_hi - below_lo, 1.0),
             )
-
-    selected = np.nonzero((vals >= lo) & (vals <= hi))[0]
-    if nodes is None and len(selected) < min_pairs:
-        nearest = np.argsort(np.abs(vals - center))[: min(min_pairs, len(vals))]
-        selected = np.unique(np.concatenate([selected, nearest]))
-    energies = vals[selected]
-    weights = all_weights[selected]
-    captured = float(weights.sum())
     if captured > 0.0:
         probs = weights / captured
         mean = float(probs @ energies)
         spread = float(probs @ (energies - mean) ** 2)
-    elif nodes is None:  # the padded rows hold no weight either
-        raise EigensolverError("no spectral weight captured in the window")
-    else:  # no Gauss node in the window, whose weight is within the bracket
+    else:  # no row in the window carries weight
         mean = spread = math.nan
-    low = captured < capture_target
+    low = captured < OVERLAP_CAPTURE_TARGET
     if low:
         warnings.warn(
             f"overlap window captured only {captured:.4f} of the bare-state weight"

@@ -19,7 +19,6 @@ All profiles (rho, chi, xi) have closed-form derivatives; no numerical
 differentiation enters any operator.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -27,13 +26,7 @@ import numpy as np
 
 from cerenkov_fiber.fock import FockBasis
 from cerenkov_fiber.formfactor import FormFactor
-from cerenkov_fiber.hamiltonian import (
-    FiberParams,
-    displacement_expectation,
-    free_fiber_diagonal,
-    interaction_coefficients,
-)
-from cerenkov_fiber.observables import expect_field_momentum_sq
+from cerenkov_fiber.hamiltonian import displacement_expectation
 from cerenkov_fiber.smoothing import plateau_ramp
 from cerenkov_fiber.weights import (
     ConeSpec,
@@ -183,11 +176,6 @@ class VirialReport:
         out["eigen_residual"] = self.eigen_residual
         return out
 
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 def virial_residual(
     state,
@@ -245,7 +233,7 @@ def virial_residual(
 def sector_virial_residual(
     state,
     grad_E,
-    shell,
+    shell: ShellSpec,
     cone: ConeSpec,
     mode: str,
     g: float,
@@ -260,8 +248,6 @@ def sector_virial_residual(
     perpendicular:  weights |k_perp|^2/|k| and k_perp with
                     k_perp = k - (k . axis) axis.
     """
-    if isinstance(shell, int):
-        shell = ShellSpec(shell)
     spec = DilationSpec(kappa=math.inf, shell=shell, cone=cone, mode=mode)
     psi = np.asarray(state, dtype=float)
     grad_E = np.asarray(grad_E, dtype=float).reshape(3)
@@ -299,51 +285,5 @@ def sector_virial_residual(
         shell_n=shell.n,
         cone_kind=cone.kind,
         mode=mode,
-        eigen_residual=eigen_residual,
-    )
-
-
-def energy_identity_residual(
-    state,
-    P,
-    g: float,
-    basis: FockBasis,
-    form_factor: FormFactor,
-    eigen_residual: float | None = None,
-) -> VirialReport:
-    """Energy-form rearrangement of the kappa = inf identity.
-
-    R = <H_P> - P^2/2 + (1/2)<(P^f)^2> - g <b+(id rho) + b(id rho)>
-        - g <phi(rho)>.
-
-    Algebraically identical to the kappa = inf residual (substituting
-    <H_P> = P^2/2 - P.<P^f> + <(P^f)^2>/2 + <H^f> + g<phi> makes the
-    interaction terms cancel), so the two agree to rounding on any state.
-    """
-    psi = np.asarray(state, dtype=float)
-    P = np.asarray(P, dtype=float).reshape(3)
-    grid = basis.grid
-    params = FiberParams(P=P, g=g, grid=grid, basis=basis, form_factor=form_factor)
-    h_free = float(np.sum(psi * psi * free_fiber_diagonal(params)))
-    phi = displacement_expectation(
-        basis, interaction_coefficients(grid, form_factor), psi
-    )
-    h_full = h_free + g * phi
-
-    spec = DilationSpec(kappa=math.inf)
-    coeffs = np.sqrt(grid.vol) * dilated_form_factor(form_factor, spec)(grid.k)
-    t_source = g * displacement_expectation(basis, coeffs, psi)
-    pf_sq = expect_field_momentum_sq(psi, basis)
-
-    p_sq_half = 0.5 * float(P @ P)
-    residual = h_full - p_sq_half + 0.5 * pf_sq - t_source - g * phi
-    return VirialReport(
-        residual=residual,
-        number_energy_term=h_full - p_sq_half,
-        momentum_mixed_term=0.5 * pf_sq,
-        drift_term=g * phi,
-        source_term=t_source,
-        kappa=math.inf,
-        mode="parallel",
         eigen_residual=eigen_residual,
     )

@@ -6,8 +6,8 @@ cos(theta) against a fixed axis.  Restricted number operators weight each
 mode by chi^2 * xi^2, the square of these profiles.
 
 Ramps are deliberately narrower than the maximal allowed windows (fraction
-`ramp_fraction` of the plateau edge) so that shells n and n+2 have disjoint
-supports for n <= 6, at the price of a larger slope constant.
+DEFAULT_RAMP_FRACTION of the plateau edge) so that shells n and n+2 have
+disjoint supports for n <= 6, at the price of a larger slope constant.
 """
 
 from dataclasses import dataclass
@@ -24,28 +24,29 @@ from cerenkov_fiber.smoothing import (
 DEFAULT_RAMP_FRACTION = 1.0 / 16.0
 # max slope of the narrow ramp, attained for n = 1: (15/8)(n+1)/(s n) <= 60 n
 DEFAULT_SHELL_SLOPE_CONSTANT = 2.0 * SMOOTHERSTEP_MAX_SLOPE / DEFAULT_RAMP_FRACTION
+# bound on |d xi/d theta| times the ramp's polar width when the support angle
+# is at most twice the plateau angle, as for `cone_from_coupling`'s cones:
+# the slope is at most (15/8) sin(theta_s) / sin(theta_p) <= 15/4
+CONE_SLOPE_CONSTANT = 4.0
 
 CONE_KINDS = ("forward", "double", "complement-double")
 
 
 @dataclass(frozen=True)
 class ShellSpec:
-    """Dyadic shell index n with documented ramp geometry."""
+    """Dyadic shell index n; the ramps are DEFAULT_RAMP_FRACTION wide, and
+    the weight's slope is at most DEFAULT_SHELL_SLOPE_CONSTANT * n."""
 
     n: int
-    ramp_constant: float = DEFAULT_SHELL_SLOPE_CONSTANT
-    ramp_fraction: float = DEFAULT_RAMP_FRACTION
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"shell index must be >= 1, got {self.n}")
-        if not 0.0 < self.ramp_fraction <= 0.5:
-            raise ValueError("ramp_fraction must lie in (0, 1/2]")
 
     @property
     def edges(self):
         """(support_lo, plateau_lo, plateau_hi, support_hi)."""
-        n, s = self.n, self.ramp_fraction
+        n, s = self.n, DEFAULT_RAMP_FRACTION
         return (
             (1.0 - s) / (n + 1),
             1.0 / (n + 1),
@@ -80,7 +81,6 @@ class ConeSpec:
     kind: str
     plateau_cos: float
     support_cos: float
-    ramp_constant: float = 4.0
 
     def __post_init__(self):
         axis = np.asarray(self.axis, dtype=float).reshape(3)
@@ -132,13 +132,11 @@ def cone_weight_derivative_u(spec: ConeSpec, khat):
     return out if np.ndim(out) else float(out)
 
 
-def cone_from_coupling(
-    kind: str, axis, g: float, gamma: float = 0.2, a: float = 1.0
-) -> ConeSpec:
+def cone_from_coupling(kind: str, axis, g: float, gamma: float = 0.2) -> ConeSpec:
     """Cone angles at their coupling-scaled defaults.
 
     Forward cones use half-angle |g|^gamma (plateau at half of it); the
-    double-cone family uses half-angle a*|g|^(gamma/8) with the plateau at
+    double-cone family uses half-angle |g|^(gamma/8) with the plateau at
     twice it.  Desk-scale grids usually cannot resolve these angles for small
     g, so explicit cosines remain the primary interface.
     """
@@ -149,7 +147,7 @@ def cone_from_coupling(
         if theta >= np.pi / 2:
             raise ValueError("forward cone angle exceeds a quarter sphere")
         return ConeSpec(axis, kind, np.cos(theta / 2.0), np.cos(theta))
-    theta = a * abs(g) ** (gamma / 8.0)
+    theta = abs(g) ** (gamma / 8.0)
     if 2.0 * theta >= np.pi / 2:
         raise ValueError("double-cone angle exceeds a quarter sphere")
     if kind == "double":
@@ -157,44 +155,3 @@ def cone_from_coupling(
     if kind == "complement-double":
         return ConeSpec(axis, kind, np.cos(2.0 * theta), np.cos(theta))
     raise ValueError(f"unknown cone kind {kind!r}")
-
-
-def mode_weights(grid, shell: ShellSpec | None = None, cone: ConeSpec | None = None):
-    """Per-mode restricted-number weight chi_n(|k|)^2 * xi(khat)^2."""
-    w = np.ones(grid.n_modes)
-    if shell is not None:
-        w = w * shell_weight(shell, grid.magnitudes) ** 2
-    if cone is not None:
-        w = w * cone_weight(cone, grid.unit_vectors) ** 2
-    return w
-
-
-def tabulate_shell(spec: ShellSpec, path, samples: int = 512) -> None:
-    """CSV table (r, weight) across the shell support, for plotting."""
-    a0, _, _, b0 = spec.edges
-    r = np.linspace(0.5 * a0, 1.2 * b0, samples)
-    with open(path, "w") as fh:
-        fh.write("r,weight\n")
-        for ri, wi in zip(r, shell_weight(spec, r)):
-            fh.write(f"{repr(float(ri))},{repr(float(wi))}\n")
-
-
-def tabulate_cone(spec: ConeSpec, path, samples: int = 512) -> None:
-    """CSV table (cos_theta, weight) over [-1, 1], for plotting."""
-    u = np.linspace(-1.0, 1.0, samples)
-    khat = np.outer(u, spec.axis) + np.sqrt(np.maximum(1 - u**2, 0.0))[:, None] * (
-        _any_orthonormal(spec.axis)[None, :]
-    )
-    w = cone_weight(spec, khat)
-    with open(path, "w") as fh:
-        fh.write("cos_theta,weight\n")
-        for ui, wi in zip(u, w):
-            fh.write(f"{repr(float(ui))},{repr(float(wi))}\n")
-
-
-def _any_orthonormal(axis: np.ndarray) -> np.ndarray:
-    trial = np.array([1.0, 0.0, 0.0])
-    if abs(axis @ trial) > 0.9:
-        trial = np.array([0.0, 1.0, 0.0])
-    perp = trial - (trial @ axis) * axis
-    return perp / np.linalg.norm(perp)

@@ -5,6 +5,7 @@ from cerenkov_fiber.fock import build_basis
 from cerenkov_fiber.formfactor import FormFactor
 from cerenkov_fiber.grids import AngularSpec, MomentumGrid, RadialSpec, build_grid
 from cerenkov_fiber.spectra import FiberModel
+from cerenkov_fiber.weights import ConeSpec, ShellSpec, cone_weight, shell_weight
 
 
 @pytest.fixture(scope="session")
@@ -46,3 +47,19 @@ def unit_vector(dim, index):
     vec = np.zeros(dim)
     vec[index] = 1.0
     return vec
+
+
+def fit_loglog_slope(x, y) -> float:
+    """Least-squares slope of log y against log x."""
+    lx, ly = np.log(np.asarray(x, dtype=float)), np.log(np.asarray(y, dtype=float))
+    return float(np.polyfit(lx, ly, 1)[0])
+
+
+def mode_weights(grid, shell: ShellSpec | None = None, cone: ConeSpec | None = None):
+    """Per-mode restricted-number weight chi_n(|k|)^2 * xi(khat)^2."""
+    w = np.ones(grid.n_modes)
+    if shell is not None:
+        w = w * shell_weight(shell, grid.magnitudes) ** 2
+    if cone is not None:
+        w = w * cone_weight(cone, grid.unit_vectors) ** 2
+    return w

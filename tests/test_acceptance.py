@@ -9,16 +9,14 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+from conftest import fit_loglog_slope
 
-from cerenkov_fiber.cerenkov import (
-    fit_loglog_slope,
-    golden_rule_rate,
-    trial_scaling,
-)
+from cerenkov_fiber.cerenkov import golden_rule_rate, trial_scaling
 from cerenkov_fiber.fock import build_basis
 from cerenkov_fiber.formfactor import FormFactor
 from cerenkov_fiber.grids import AngularSpec, MomentumGrid, RadialSpec, build_grid
-from cerenkov_fiber.hamiltonian import FiberParams, build_fiber_hamiltonian, free_fiber_diagonal
+from cerenkov_fiber.hamiltonian import build_fiber_hamiltonian, free_fiber_diagonal
 from cerenkov_fiber.observables import expect_number
 from cerenkov_fiber.solver import lowest_eigenpairs
 from cerenkov_fiber.spectra import (
@@ -72,7 +70,7 @@ def test_c01_free_theory_spectral_boundary(model_a):
     for p in (1.2, 1.5, 2.0):
         P = model_a.on_axis(p)
         e0 = model_a.lowest(P, 0.0, count=1).ground_energy
-        brute = float(np.min(free_fiber_diagonal(model_a.params(P, 0.0))))
+        brute = float(np.min(free_fiber_diagonal(model_a.basis, P)))
         window = 2.0 * model_a.grid.max_radial_width
         ok &= abs(e0 - brute) <= 1e-12
         ok &= abs(e0 - (p - 0.5)) <= window
@@ -224,8 +222,6 @@ def test_c07_golden_rule_vs_monte_carlo():
 
 
 def test_c08_forward_cone_concentration(model_b):
-    import scipy.linalg
-
     p, g = 1.5, 0.05
     P = model_b.on_axis(p)
     with warnings.catch_warnings():
@@ -305,20 +301,18 @@ def test_c11_oracle_equivalence_small_instances():
         grid = build_grid(radial, angular)
         basis = build_basis(grid, n_max)
         assert basis.dimension <= 2000
-        params = FiberParams(
-            P=(0.0, 0.0, 0.6), g=0.1, grid=grid, basis=basis, form_factor=ff
-        )
-        h = build_fiber_hamiltonian(params)
-        dense = lowest_eigenpairs(h, 5, tol=SOLVER_TOL, method="dense")
-        lobpcg = lowest_eigenpairs(h, 5, tol=SOLVER_TOL, method="lobpcg")
-        # a cutoff between the Schur block and the dimension routes auto to
-        # the certified shift-invert path
+        h = build_fiber_hamiltonian(basis, ff, (0.0, 0.0, 0.6), 0.1)
+        dense = scipy.linalg.eigvalsh(h.matrix.toarray(), subset_by_index=(0, 4))
+        # a cutoff below the Schur block routes to LOBPCG; one between the
+        # block and the dimension to the certified shift-invert path
+        lobpcg = lowest_eigenpairs(h, 5, tol=SOLVER_TOL, dense_cutoff=0)
         schur = lowest_eigenpairs(
             h, 5, tol=SOLVER_TOL, dense_cutoff=basis.dimension - 1
         )
+        ok &= lobpcg.method == "lobpcg"
         ok &= schur.method == "schur"
         gap = max(
-            float(np.max(np.abs(dense.eigenvalues - other.eigenvalues)))
+            float(np.max(np.abs(dense - other.eigenvalues)))
             for other in (lobpcg, schur)
         )
         ok &= gap <= 1e-8
@@ -329,8 +323,8 @@ def test_c11_oracle_equivalence_small_instances():
     grid = MomentumGrid.single_mode((1.0, 0.0, 0.0), vol=0.3)
     basis = build_basis(grid, 1)
     g = 0.3
-    params = FiberParams(P=(1.5, 0, 0), g=g, grid=grid, basis=basis, form_factor=toy_ff)
-    res = lowest_eigenpairs(build_fiber_hamiltonian(params), 1, tol=1e-12)
+    h = build_fiber_hamiltonian(basis, toy_ff, (1.5, 0, 0), g)
+    res = lowest_eigenpairs(h, 1, tol=1e-12)
     closed = 1.125 - g * math.sqrt(0.3) * toy_ff.value(1.0)
     gap = abs(res.ground_energy - closed)
     ok &= gap <= 1e-12

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from conftest import fit_loglog_slope
 
 from cerenkov_fiber.cerenkov import (
     EmptyWindowError,
     TrialSpec,
     cerenkov_threshold,
     decay_element,
-    fit_loglog_slope,
     golden_rule_rate,
     resonance_momentum,
     trial_scaling,
@@ -17,7 +17,8 @@ from cerenkov_fiber.cerenkov import (
 from cerenkov_fiber.fock import build_basis
 from cerenkov_fiber.formfactor import FormFactor
 from cerenkov_fiber.grids import AngularSpec, MomentumGrid, RadialSpec, build_grid
-from cerenkov_fiber.hamiltonian import build_interaction, FiberParams
+from cerenkov_fiber.hamiltonian import build_interaction
+from cerenkov_fiber.smoothing import bump
 
 
 def test_resonance_forward_at_bare_energy():
@@ -137,7 +138,7 @@ def test_trial_state_norm_by_direct_summation(resonant_setup):
     diff = P[None, :] - grid.k
     free = 0.5 * np.einsum("md,md->m", diff, diff) + grid.magnitudes
     direct = np.sum(
-        grid.vol * spec.profile((free - spec.energy) / spec.epsilon) ** 2
+        grid.vol * bump((free - spec.energy) / spec.epsilon) ** 2
         / spec.epsilon
     )
     assert norm**2 == pytest.approx(direct, rel=1e-12)
@@ -175,8 +176,7 @@ def test_decay_element_matches_assembled_operator(resonant_setup):
     P = 1.5 * grid.axis
     g = 0.07
     eta, _ = trial_state(P, TrialSpec(epsilon=0.05, energy=1.125), grid, basis)
-    params = FiberParams(P=P, g=g, grid=grid, basis=basis, form_factor=ff)
-    phi = build_interaction(params)
+    phi = build_interaction(basis, ff)
     vac = basis.vacuum_vector()
     via_matrix = g * float(eta @ (phi.matrix @ vac))
     assert decay_element(eta, ff, g, basis) == pytest.approx(via_matrix, abs=1e-12)

@@ -73,6 +73,7 @@ def test_golden_rule_below_threshold(tmp_path, config_path):
     assert record["threshold_cos"] is None
 
 
+@pytest.mark.filterwarnings("ignore:overlap window captured")
 def test_spectrum_and_virial_and_overlap(tmp_path, config_path):
     assert run([
         "spectrum", "--config", config_path, "--out", str(tmp_path),

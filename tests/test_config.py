@@ -104,3 +104,42 @@ def test_experiment_defaults_and_values():
     assert make_model(cfg).dense_cutoff == 50
     assert cfg.extras().fd_step == 2e-3
     assert cfg.to_dict()["experiment"] == {"dense_cutoff": 50, "fd_step": 2e-3}
+
+
+FIELD_TYPES = {
+    "n_max a string": {"n_max": "3"},
+    "solver_tol a string": {"solver_tol": "x"},
+    "e_cut a string": {"e_cut": "1"},
+    "k_min null": {"k_min": None},
+    "amplitude a string": {"amplitude": "1"},
+    "pairs not an integer": {"pairs": 2.5},
+    "radial_count not an integer": {"radial_count": 2.5},
+    "polar_count a boolean": {"polar_count": True},
+    "solver_maxiter not an integer": {"solver_maxiter": 2.5},
+    "solver_maxiter below 1": {"solver_maxiter": 0},
+}
+
+
+@pytest.mark.parametrize("fields", FIELD_TYPES.values(), ids=FIELD_TYPES.keys())
+def test_field_types_exit_with_validation_record(tmp_path, capsys, fields):
+    with pytest.raises(ConfigError):
+        config_from_dict(dict(fields))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(fields))
+    code = main([
+        "spectrum", "--config", str(path), "--out", str(tmp_path),
+        "--p", "0.5,0,0", "--g", "0.05",
+    ])
+    assert code == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "validation"
+    assert not (tmp_path / "spectrum.json").exists()
+
+
+def test_spectrum_pairs_below_one_exit_with_usage_record(tmp_path, capsys):
+    code = main([
+        "spectrum", "--out", str(tmp_path), "--p", "0.5,0,0", "--g", "0.05",
+        "--pairs", "0",
+    ])
+    assert code == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "usage"
+    assert not (tmp_path / "spectrum.json").exists()

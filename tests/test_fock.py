@@ -153,14 +153,15 @@ def test_energy_cut_prunes_and_orders():
     assert basis.dimension < full.dimension
 
 
-def test_basis_budget_failure_reports_dimension():
+def test_basis_budget_failure_reports_dimension(monkeypatch):
     grid = build_grid(RadialSpec(0.1, 1.0, 30, "linear"), AngularSpec(1, 1))
+    monkeypatch.setattr(fock, "DEFAULT_DIM_BUDGET", 100)
     with pytest.raises(BasisSizeError) as err:
-        build_basis(grid, 3, max_dim=100)
+        build_basis(grid, 3)
     assert err.value.dimension > 100
     assert str(err.value.dimension) in str(err.value)
     with pytest.raises(BasisSizeError) as err:
-        build_basis(grid, 3, e_cut=2.0, max_dim=100)
+        build_basis(grid, 3, e_cut=2.0)
     assert err.value.dimension > 100
 
 

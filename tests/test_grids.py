@@ -1,18 +1,27 @@
 import numpy as np
 import pytest
 
+from cerenkov_fiber import grids
 from cerenkov_fiber.grids import (
     AngularSpec,
     GridError,
     MomentumGrid,
     RadialSpec,
     build_grid,
-    grid_to_csv,
 )
 
 
 def shell_volume(k_min, k_max):
     return 4.0 * np.pi / 3.0 * (k_max**3 - k_min**3)
+
+
+def grid_to_csv(grid: MomentumGrid, path) -> None:
+    """Dump modes as CSV rows k_x,k_y,k_z,vol with round-trip floats."""
+    lines = ["k_x,k_y,k_z,vol"]
+    for row, v in zip(grid.k, grid.vol):
+        lines.append(",".join(repr(float(x)) for x in (*row, v)))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def test_radial_shell_volume_consistency():
@@ -72,7 +81,7 @@ def test_angular_quadrature_exact_for_polynomial_moments():
     assert approx == pytest.approx(shell_volume(0.5, 1.0) / 3.0, rel=1e-12)
 
 
-def test_validation_errors():
+def test_validation_errors(monkeypatch):
     with pytest.raises(GridError):
         RadialSpec(0.0, 1.0, 4)
     with pytest.raises(GridError):
@@ -85,8 +94,9 @@ def test_validation_errors():
         RadialSpec(0.1, 1.0, 4, "cubic")
     with pytest.raises(GridError):
         AngularSpec(0, 1)
+    monkeypatch.setattr(grids, "DEFAULT_MODE_BUDGET", 500)
     with pytest.raises(GridError):
-        build_grid(RadialSpec(0.1, 1.0, 100, "linear"), AngularSpec(10, 10), mode_budget=500)
+        build_grid(RadialSpec(0.1, 1.0, 100, "linear"), AngularSpec(10, 10))
 
 
 def test_single_mode_constructor():

@@ -8,7 +8,6 @@ from cerenkov_fiber.fock import build_basis
 from cerenkov_fiber.formfactor import FormFactor
 from cerenkov_fiber.grids import AngularSpec, MomentumGrid, RadialSpec, build_grid
 from cerenkov_fiber.hamiltonian import (
-    FiberParams,
     build_displacement,
     build_fiber_hamiltonian,
     build_interaction,
@@ -23,8 +22,8 @@ def _diagonal_operator(values: np.ndarray) -> sparse.csr_matrix:
     return sparse.diags(values, format="csr")
 
 
-def build_free_fiber(params: FiberParams) -> sparse.csr_matrix:
-    return _diagonal_operator(free_fiber_diagonal(params))
+def build_free_fiber(basis, P) -> sparse.csr_matrix:
+    return _diagonal_operator(free_fiber_diagonal(basis, P))
 
 
 def build_field_momentum(basis):
@@ -61,13 +60,9 @@ def dump_triplets(matrix, path) -> None:
             fh.write(f"{coo.row[i]} {coo.col[i]} {repr(float(coo.data[i]))}\n")
 
 
-def make_params(grid, basis, ff, P=(0.5, 0.0, 0.0), g=0.1):
-    return FiberParams(P=P, g=g, grid=grid, basis=basis, form_factor=ff)
-
-
-def test_free_fiber_vacuum(small_grid, small_basis, default_ff):
-    params = make_params(small_grid, small_basis, default_ff, P=(0.5, 0, 0))
-    assert build_free_fiber(params).diagonal()[0] == pytest.approx(0.125)
+def test_free_fiber_vacuum(small_basis):
+    diag = build_free_fiber(small_basis, (0.5, 0, 0)).diagonal()
+    assert diag[0] == pytest.approx(0.125)
 
 
 def test_free_fiber_one_and_two_boson_values(wide_ff):
@@ -75,24 +70,19 @@ def test_free_fiber_one_and_two_boson_values(wide_ff):
     basis = build_basis(grid, 2)
     one = basis.index_of((0,))
     two = basis.index_of((0, 0))
-    params = make_params(grid, basis, wide_ff, P=(1.5, 0, 0), g=0.0)
-    diag = free_fiber_diagonal(params)
+    diag = free_fiber_diagonal(basis, (1.5, 0, 0))
     assert diag[one] == pytest.approx(0.5**2 / 2 + 1.0)  # 1.125
-    params2 = make_params(grid, basis, wide_ff, P=(2.0, 0, 0), g=0.0)
-    diag2 = free_fiber_diagonal(params2)
+    diag2 = free_fiber_diagonal(basis, (2.0, 0, 0))
     k05 = MomentumGrid.single_mode((0.5, 0.0, 0.0), vol=0.3)
     basis05 = build_basis(k05, 2)
-    diag05 = free_fiber_diagonal(
-        make_params(k05, basis05, wide_ff, P=(2.0, 0, 0), g=0.0)
-    )
+    diag05 = free_fiber_diagonal(basis05, (2.0, 0, 0))
     assert diag05[basis05.index_of((0, 0))] == pytest.approx(1.5)  # (2-1)^2/2 + 1
     assert diag2[two] == pytest.approx(2.0)  # (2-2)^2/2 + 2
 
 
 def test_interaction_single_mode_matrix_element(single_mode_setup):
     grid, basis, ff = single_mode_setup
-    params = make_params(grid, basis, ff, P=(1.5, 0, 0), g=1.0)
-    phi = build_interaction(params).matrix.toarray()
+    phi = build_interaction(basis, ff).matrix.toarray()
     expected = np.sqrt(0.3) * ff.value(1.0)
     one = basis.index_of((0,))
     assert phi[one, 0] == pytest.approx(expected)
@@ -103,9 +93,7 @@ def test_interaction_single_mode_matrix_element(single_mode_setup):
 def test_modes_beyond_cutoff_give_zero_rows(default_ff):
     grid = build_grid(RadialSpec(0.5, 1.3, 4, "linear"), AngularSpec(2, 1))
     basis = build_basis(grid, 1)
-    phi = build_interaction(
-        make_params(grid, basis, default_ff, g=1.0)
-    ).matrix.tocsr()
+    phi = build_interaction(basis, default_ff).matrix.tocsr()
     dead_modes = np.nonzero(grid.magnitudes >= default_ff.cutoff)[0]
     assert len(dead_modes) > 0
     for m in dead_modes:
@@ -113,18 +101,17 @@ def test_modes_beyond_cutoff_give_zero_rows(default_ff):
         assert phi[row].nnz == 0
 
 
-def test_hamiltonian_reduces_to_free_at_zero_coupling(small_grid, small_basis, default_ff):
-    params = make_params(small_grid, small_basis, default_ff, g=0.0)
-    h = build_fiber_hamiltonian(params).matrix
-    free = build_free_fiber(params)
+def test_hamiltonian_reduces_to_free_at_zero_coupling(small_basis, default_ff):
+    P = (0.5, 0.0, 0.0)
+    h = build_fiber_hamiltonian(small_basis, default_ff, P, 0.0).matrix
+    free = build_free_fiber(small_basis, P)
     assert (h != free).nnz == 0
 
 
 def test_two_by_two_resonant_block(single_mode_setup):
     grid, basis, ff = single_mode_setup
     g = 0.3
-    params = make_params(grid, basis, ff, P=(1.5, 0, 0), g=g)
-    h = build_fiber_hamiltonian(params).matrix.toarray()
+    h = build_fiber_hamiltonian(basis, ff, (1.5, 0, 0), g).matrix.toarray()
     coupling = g * np.sqrt(0.3) * ff.value(1.0)
     expected = np.array([[1.125, coupling], [coupling, 1.125]])
     assert h == pytest.approx(expected, abs=1e-15)
@@ -132,15 +119,14 @@ def test_two_by_two_resonant_block(single_mode_setup):
     assert vals == pytest.approx([1.125 - coupling, 1.125 + coupling], abs=1e-12)
 
 
-def test_exact_symmetry(small_grid, small_basis, default_ff):
-    params = make_params(small_grid, small_basis, default_ff, P=(0.3, 0.1, 0.7), g=0.2)
-    h = build_fiber_hamiltonian(params).matrix
+def test_exact_symmetry(small_basis, default_ff):
+    h = build_fiber_hamiltonian(small_basis, default_ff, (0.3, 0.1, 0.7), 0.2).matrix
     assert max_asymmetry(h) == 0.0
 
 
-def test_sector_structure(small_grid, small_basis, default_ff):
-    params = make_params(small_grid, small_basis, default_ff, g=0.2)
-    coo = build_fiber_hamiltonian(params).matrix.tocoo()
+def test_sector_structure(small_basis, default_ff):
+    h = build_fiber_hamiltonian(small_basis, default_ff, (0.5, 0, 0), 0.2)
+    coo = h.matrix.tocoo()
     counts = small_basis.boson_count
     diff = np.abs(counts[coo.row] - counts[coo.col])
     assert np.all(diff <= 1)
@@ -167,8 +153,8 @@ def test_field_momentum_energy_and_number(small_grid, small_basis, default_ff):
 def test_rotational_covariance_under_azimuthal_relabeling(default_ff):
     grid = build_grid(RadialSpec(0.2, 1.0, 3, "geometric"), AngularSpec(2, 4))
     basis = build_basis(grid, 2)
-    params = make_params(grid, basis, default_ff, P=(0.0, 0.0, 0.6), g=0.15)
-    vals = np.linalg.eigvalsh(build_fiber_hamiltonian(params).matrix.toarray())
+    h = build_fiber_hamiltonian(basis, default_ff, (0.0, 0.0, 0.6), 0.15)
+    vals = np.linalg.eigvalsh(h.matrix.toarray())
 
     # roll the azimuthal index: same mode set, relabeled
     perm = []
@@ -187,8 +173,8 @@ def test_rotational_covariance_under_azimuthal_relabeling(default_ff):
         radial_edges=grid.radial_edges,
     )
     basis2 = build_basis(rolled, 2)
-    params2 = make_params(rolled, basis2, default_ff, P=(0.0, 0.0, 0.6), g=0.15)
-    vals2 = np.linalg.eigvalsh(build_fiber_hamiltonian(params2).matrix.toarray())
+    h2 = build_fiber_hamiltonian(basis2, default_ff, (0.0, 0.0, 0.6), 0.15)
+    vals2 = np.linalg.eigvalsh(h2.matrix.toarray())
     assert vals2 == pytest.approx(vals, abs=1e-10)
 
 
@@ -205,8 +191,7 @@ def test_displacement_expectation_matches_matrix(small_grid, small_basis, defaul
 
 def test_triplet_dump(tmp_path, single_mode_setup):
     grid, basis, ff = single_mode_setup
-    params = make_params(grid, basis, ff, P=(1.5, 0, 0), g=0.3)
-    h = build_fiber_hamiltonian(params)
+    h = build_fiber_hamiltonian(basis, ff, (1.5, 0, 0), 0.3)
     path = tmp_path / "h.txt"
     dump_triplets(h.matrix, path)
     rows = [line.split() for line in path.read_text().strip().split("\n")]
@@ -217,9 +202,9 @@ def test_triplet_dump(tmp_path, single_mode_setup):
     assert rebuilt == pytest.approx(dense, abs=0.0)
 
 
-def test_params_validation(small_grid, small_basis, default_ff):
+def test_params_validation(small_basis, default_ff):
     with pytest.raises(ValueError):
-        make_params(small_grid, small_basis, default_ff, P=(np.inf, 0, 0))
+        build_fiber_hamiltonian(small_basis, default_ff, (np.inf, 0, 0), 0.1)
 
 
 random_models = dict(
@@ -233,24 +218,24 @@ random_models = dict(
 )
 
 
-def random_params(radial, polar, azimuthal, n_max, e_cut, P, g):
+def random_model(radial, polar, azimuthal, n_max, e_cut):
     grid = build_grid(RadialSpec(0.1, 1.0, radial), AngularSpec(polar, azimuthal))
     basis = build_basis(grid, n_max, e_cut)
-    return make_params(grid, basis, FormFactor(cutoff=2.0), P=P, g=g)
+    return FiberModel(grid, basis, FormFactor(cutoff=2.0))
 
 
 @settings(max_examples=25, deadline=None)
 @given(**random_models)
 def test_hamiltonian_exactly_symmetric(radial, polar, azimuthal, n_max, e_cut, P, g):
-    params = random_params(radial, polar, azimuthal, n_max, e_cut, P, g)
-    assert max_asymmetry(build_fiber_hamiltonian(params).matrix) == 0.0
+    model = random_model(radial, polar, azimuthal, n_max, e_cut)
+    assert max_asymmetry(model.hamiltonian(P, g).matrix) == 0.0
 
 
 @settings(max_examples=25, deadline=None)
 @given(**random_models)
 def test_ground_energy_below_bare_energy(radial, polar, azimuthal, n_max, e_cut, P, g):
     # the vacuum is a trial state with energy P^2/2
-    params = random_params(radial, polar, azimuthal, n_max, e_cut, P, g)
-    model = FiberModel(params.grid, params.basis, params.form_factor)
-    e0 = model.lowest(params.P, g).ground_energy
-    assert e0 <= 0.5 * float(params.P @ params.P) + 1e-12
+    model = random_model(radial, polar, azimuthal, n_max, e_cut)
+    P = np.asarray(P, dtype=float)
+    e0 = model.lowest(P, g).ground_energy
+    assert e0 <= 0.5 * float(P @ P) + 1e-12

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import mode_weights
 
 from cerenkov_fiber.observables import (
     expect_field_energy,
@@ -11,7 +12,7 @@ from cerenkov_fiber.fock import build_basis
 from cerenkov_fiber.grids import MomentumGrid
 from cerenkov_fiber.solver import SpectralResult
 from cerenkov_fiber.spectra import fh_gradient
-from cerenkov_fiber.weights import ConeSpec, ShellSpec, mode_weights
+from cerenkov_fiber.weights import ConeSpec, ShellSpec
 
 
 def unit(dim, i):

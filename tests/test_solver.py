@@ -9,7 +9,7 @@ from cerenkov_fiber.config import RunConfig, make_model
 from cerenkov_fiber.fock import build_basis
 from cerenkov_fiber.formfactor import FormFactor
 from cerenkov_fiber.grids import AngularSpec, RadialSpec, build_grid
-from cerenkov_fiber.hamiltonian import build_fiber_hamiltonian, FiberParams
+from cerenkov_fiber.hamiltonian import build_fiber_hamiltonian
 from cerenkov_fiber.solver import (
     EigensolverError,
     SchurBlocks,
@@ -39,8 +39,7 @@ def test_diagonal_matrix_picks_smallest():
 def test_two_by_two_resonant_closed_form(single_mode_setup):
     grid, basis, ff = single_mode_setup
     g = 0.3
-    params = FiberParams(P=(1.5, 0, 0), g=g, grid=grid, basis=basis, form_factor=ff)
-    h = build_fiber_hamiltonian(params)
+    h = build_fiber_hamiltonian(basis, ff, (1.5, 0, 0), g)
     res = lowest_eigenpairs(h, 1, tol=1e-12)
     coupling = g * np.sqrt(0.3) * ff.value(1.0)
     assert res.eigenvalues[0] == pytest.approx(1.125 - coupling, abs=1e-12)
@@ -50,23 +49,26 @@ def test_dense_and_iterative_agree_on_random_symmetric():
     rng = np.random.default_rng(42)
     a = rng.normal(size=(200, 200))
     full = (a + a.T) / 2.0
-    # the same size with rows and columns 60.. diagonal: auto takes the
-    # Schur path when the cutoff lies between the block (60) and the matrix
+    # the same size with rows and columns 60.. diagonal: the solver takes
+    # the Schur path when the cutoff lies between the block (60) and the
+    # matrix, LOBPCG when it lies below the block
     blocked = random_with_trailing_diagonal(t=60)
     cases = (
-        (full, "lobpcg", {"method": "lobpcg"}),
-        (blocked, "lobpcg", {"method": "lobpcg"}),
-        (blocked, "schur", {"dense_cutoff": 100}),
+        (full, "lobpcg", 0),
+        (blocked, "lobpcg", 0),
+        (blocked, "schur", 100),
     )
-    for sym, method, options in cases:
-        dense = lowest_eigenpairs(sym, 5, tol=1e-9, method="dense")
-        res = lowest_eigenpairs(sparse.csr_matrix(sym), 5, tol=1e-9, **options)
+    for sym, method, cutoff in cases:
+        dense = scipy.linalg.eigvalsh(sym, subset_by_index=(0, 4))
+        res = lowest_eigenpairs(
+            sparse.csr_matrix(sym), 5, tol=1e-9, dense_cutoff=cutoff
+        )
         assert res.method == method
-        assert res.eigenvalues == pytest.approx(dense.eigenvalues, abs=1e-8)
+        assert res.eigenvalues == pytest.approx(dense, abs=1e-8)
         assert np.all(res.residual_norms <= 1e-9)
     diag = res.diagnostics
     assert diag["schur_size"] == 60
-    assert diag["shift"] < dense.eigenvalues[0]
+    assert diag["shift"] < dense[0]
     assert diag["count_top_block"] + diag["count_schur"] == 5
 
 
@@ -92,8 +94,8 @@ def test_schur_recovers_multiplet_partners_on_symmetric_grid():
     [
         # off the axis the levels come in doublets; ARPACK from a uniform
         # start returned excited levels off by 2.5e-2 and 1.3e-3 here
-        (dict(azimuthal_count=3), 0.5, {"method": "lobpcg"}),
-        (dict(azimuthal_count=2), 1.5, {"method": "lobpcg"}),
+        (dict(azimuthal_count=3), 0.5, {"dense_cutoff": 0}),
+        (dict(azimuthal_count=2), 1.5, {"dense_cutoff": 0}),
         # n_max = 3 with the Schur complement (45 rows) over the cutoff
         (dict(polar_count=2, radial_count=4, n_max=3), 0.5, {"dense_cutoff": 40}),
     ],
@@ -121,11 +123,11 @@ def test_lobpcg_stops_when_requested_pairs_converge():
     coupling = 0.02 * sparse.random(n, n, density=0.02, random_state=4)
     mat = sparse.csr_matrix(sparse.diags(diag) + coupling + coupling.T)
     exact = scipy.linalg.eigvalsh(mat.toarray(), subset_by_index=(0, 3))
-    res = lowest_eigenpairs(mat, 2, tol=1e-9, method="lobpcg")
+    res = lowest_eigenpairs(mat, 2, tol=1e-9, dense_cutoff=0)
     assert res.diagnostics["block"] == 4
     assert res.diagnostics["iterations"] < 30
     assert res.eigenvalues == pytest.approx(exact[:2], abs=1e-12)
-    cluster = lowest_eigenpairs(mat, 4, tol=1e-9, method="lobpcg")
+    cluster = lowest_eigenpairs(mat, 4, tol=1e-9, dense_cutoff=0)
     assert cluster.eigenvalues == pytest.approx(exact, abs=1e-12)
     assert cluster.diagnostics["iterations"] > 100
 
@@ -175,10 +177,8 @@ def test_schur_count_matches_dense_spectrum(
 ):
     grid = build_grid(RadialSpec(0.1, 1.0, radial), AngularSpec(polar, azimuthal))
     basis = build_basis(grid, n_max, cut_e)
-    params = FiberParams(
-        P=(0.0, 0.0, p), g=g, grid=grid, basis=basis, form_factor=FormFactor(cutoff=2.0)
-    )
-    mat = build_fiber_hamiltonian(params).matrix
+    ff = FormFactor(cutoff=2.0)
+    mat = build_fiber_hamiltonian(basis, ff, (0.0, 0.0, p), g).matrix
     t = trailing_diagonal_start(mat)
     below_n_max = int(np.count_nonzero(basis.boson_count < n_max))
     assert t <= below_n_max
@@ -193,7 +193,8 @@ def test_schur_count_matches_dense_spectrum(
 
 def test_eigenvectors_orthonormal(small_model):
     h = small_model.hamiltonian(small_model.on_axis(0.5), 0.2)
-    res = lowest_eigenpairs(h, 4, tol=1e-10, method="dense")
+    res = lowest_eigenpairs(h, 4, tol=1e-10)
+    assert res.method == "dense"
     gram = res.eigenvectors.T @ res.eigenvectors
     assert gram == pytest.approx(np.eye(4), abs=1e-10)
     assert np.all(np.diff(res.eigenvalues) >= -1e-12)
@@ -215,7 +216,7 @@ def test_nonconvergence_raises_with_partials():
     a = rng.normal(size=(400, 400))
     sym = sparse.csr_matrix((a + a.T) / 2.0)
     with pytest.raises(EigensolverError) as err:
-        lowest_eigenpairs(sym, 6, tol=1e-13, method="lobpcg", maxiter=2)
+        lowest_eigenpairs(sym, 6, tol=1e-13, maxiter=2, dense_cutoff=0)
     # the error carries whatever converged, possibly nothing
     assert err.value.best_eigenvalues is not None
 
@@ -234,7 +235,7 @@ def test_deterministic_lobpcg_runs():
     rng = np.random.default_rng(11)
     a = rng.normal(size=(300, 300))
     sym = sparse.csr_matrix((a + a.T) / 2.0)
-    r1 = lowest_eigenpairs(sym, 3, tol=1e-10, method="lobpcg")
-    r2 = lowest_eigenpairs(sym, 3, tol=1e-10, method="lobpcg")
+    r1 = lowest_eigenpairs(sym, 3, tol=1e-10, dense_cutoff=0)
+    r2 = lowest_eigenpairs(sym, 3, tol=1e-10, dense_cutoff=0)
     assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
     assert np.array_equal(r1.eigenvectors, r2.eigenvectors)

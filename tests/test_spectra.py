@@ -11,7 +11,6 @@ from cerenkov_fiber.fock import build_basis
 from cerenkov_fiber.formfactor import FormFactor
 from cerenkov_fiber.grids import AngularSpec, MomentumGrid, RadialSpec, build_grid
 from cerenkov_fiber.hamiltonian import free_fiber_diagonal
-from cerenkov_fiber.solver import EigensolverError
 from cerenkov_fiber.spectra import (
     DEGENERACY_TOL,
     LANCZOS_MEMORY_BUDGET,
@@ -57,7 +56,7 @@ def test_free_embedded_minimum_tracks_boundary(scan_model):
     # grid states, within grid resolution of |P| - 1/2
     P = scan_model.on_axis(1.5)
     res = scan_model.lowest(P, 0.0, count=1)
-    brute = float(np.min(free_fiber_diagonal(scan_model.params(P, 0.0))))
+    brute = float(np.min(free_fiber_diagonal(scan_model.basis, P)))
     assert res.ground_energy == pytest.approx(brute, abs=1e-13)
     assert abs(res.ground_energy - 1.0) <= 2.0 * scan_model.grid.max_radial_width
 
@@ -260,8 +259,7 @@ def test_overlap_iterative_path_agrees_with_dense(scan_model):
 def test_overlap_low_capture_flag(scan_model):
     with pytest.warns(UserWarning, match="captured"):
         dist = vacuum_overlap_distribution(
-            scan_model, scan_model.on_axis(1.5), 0.05, window=(1.1245, 1.1255),
-            min_pairs=1,
+            scan_model, scan_model.on_axis(1.5), 0.05, window=(1.1245, 1.1255)
         )
     assert dist.low_capture
     assert dist.captured_weight < 0.99
@@ -286,14 +284,11 @@ def _cluster_sums(energies, weights):
     return energies[starts], np.add.reduceat(weights, starts)
 
 
-def _full_eigh_rows(model, P, g, window, min_pairs=20):
-    """The overlap's rows from a full dense eigh: the window, else the nearest."""
+def _full_eigh_rows(model, P, g, window):
+    """The overlap's rows from a full dense eigh: the window's eigenpairs."""
     vals, vecs = scipy.linalg.eigh(model.hamiltonian(P, g).matrix.toarray())
     lo, hi = window
     rows = np.nonzero((vals >= lo) & (vals <= hi))[0]
-    if len(rows) < min_pairs:
-        nearest = np.argsort(np.abs(vals - 0.5 * float(P @ P)))[:min_pairs]
-        rows = np.unique(np.concatenate([rows, nearest]))
     return _cluster_sums(vals[rows], vecs[0, rows] ** 2)
 
 
@@ -444,12 +439,42 @@ def test_overlap_gauss_window_without_nodes(
     ]
 
 
-def test_overlap_dense_rows_without_weight_raise(scan_model, vacuum_measure):
-    # on the dense path zero weight survives only without padding rows
+@pytest.mark.parametrize("p_mag", [0.5, 1.5])
+def test_overlap_rows_lie_in_the_window_on_both_paths(scan_model, p_mag):
+    # below threshold the window holds one eigenvalue: the dense path writes
+    # that row alone, as the Gauss path writes its window's nodes alone, so
+    # both captured weights are the window's weight
+    P, g = scan_model.on_axis(p_mag), 0.05
+    assert scan_model.basis.dimension <= scan_model.dense_cutoff
+    dense = _overlap_quietly(scan_model, P, g)
+    gauss = _overlap_quietly(_gauss_path(scan_model), P, g)
+    assert dense.nodes is None and gauss.nodes is not None
+    assert dense.window == gauss.window
+    lo, hi = dense.window
+    for dist in (dense, gauss):
+        assert len(dist.energies) >= 1
+        assert np.all((dist.energies >= lo) & (dist.energies <= hi))
+    lower, upper = gauss.bracket
+    assert lower - 1e-12 <= dense.captured_weight <= upper + 1e-12
+
+
+def test_overlap_dense_window_without_eigenvalues(tmp_path, scan_model, vacuum_measure):
+    # a window below the spectrum: the dense path writes the header-only file
+    # the Gauss path writes, without its rule line
     P, g = scan_model.on_axis(0.5), 0.05
     window = _empty_windows(*vacuum_measure(scan_model, P, g))[0]
-    with pytest.raises(EigensolverError, match="no spectral weight"):
-        vacuum_overlap_distribution(scan_model, P, g, window=window, min_pairs=0)
+    with pytest.warns(UserWarning, match="captured only 0.0000"):
+        dist = vacuum_overlap_distribution(scan_model, P, g, window=window)
+    assert len(dist.energies) == len(dist.weights) == 0
+    assert dist.nodes is None and dist.bracket is None
+    assert dist.captured_weight == 0.0 and dist.low_capture
+    assert math.isnan(dist.mean) and math.isnan(dist.spread)
+    path = tmp_path / "overlap.csv"
+    dist.to_csv(path)
+    assert path.read_text().splitlines() == [
+        "# captured_weight=0.0 low_capture=true",
+        "energy,weight",
+    ]
 
 
 def test_overlap_gauss_rule_exact_when_krylov_space_closes():

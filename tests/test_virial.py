@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -5,16 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cerenkov_fiber.cli import _write_json
 from cerenkov_fiber.config import config_from_dict, make_model
-from cerenkov_fiber.fock import build_basis
+from cerenkov_fiber.fock import FockBasis, build_basis
 from cerenkov_fiber.formfactor import FormFactor
 from cerenkov_fiber.grids import AngularSpec, MomentumGrid, RadialSpec, build_grid
+from cerenkov_fiber.hamiltonian import (
+    displacement_expectation,
+    free_fiber_diagonal,
+    interaction_coefficients,
+)
+from cerenkov_fiber.observables import expect_field_momentum_sq
 from cerenkov_fiber.spectra import FiberModel
 from cerenkov_fiber.virial import (
     DilationParameterError,
     DilationSpec,
+    VirialReport,
     dilated_form_factor,
-    energy_identity_residual,
     kappa_window,
     sector_virial_residual,
     virial_residual,
@@ -22,6 +31,51 @@ from cerenkov_fiber.virial import (
 from cerenkov_fiber.weights import ConeSpec, ShellSpec
 
 Z = np.array([0.0, 0.0, 1.0])
+
+
+def energy_identity_residual(
+    state,
+    P,
+    g: float,
+    basis: FockBasis,
+    form_factor: FormFactor,
+    eigen_residual: float | None = None,
+) -> VirialReport:
+    """Energy-form rearrangement of the kappa = inf identity, as an oracle.
+
+    R = <H_P> - P^2/2 + (1/2)<(P^f)^2> - g <b+(id rho) + b(id rho)>
+        - g <phi(rho)>.
+
+    Algebraically identical to the kappa = inf residual (substituting
+    <H_P> = P^2/2 - P.<P^f> + <(P^f)^2>/2 + <H^f> + g<phi> makes the
+    interaction terms cancel), so the two agree to rounding on any state.
+    """
+    psi = np.asarray(state, dtype=float)
+    P = np.asarray(P, dtype=float).reshape(3)
+    grid = basis.grid
+    h_free = float(np.sum(psi * psi * free_fiber_diagonal(basis, P)))
+    phi = displacement_expectation(
+        basis, interaction_coefficients(grid, form_factor), psi
+    )
+    h_full = h_free + g * phi
+
+    spec = DilationSpec(kappa=math.inf)
+    coeffs = np.sqrt(grid.vol) * dilated_form_factor(form_factor, spec)(grid.k)
+    t_source = g * displacement_expectation(basis, coeffs, psi)
+    pf_sq = expect_field_momentum_sq(psi, basis)
+
+    p_sq_half = 0.5 * float(P @ P)
+    residual = h_full - p_sq_half + 0.5 * pf_sq - t_source - g * phi
+    return VirialReport(
+        residual=residual,
+        number_energy_term=h_full - p_sq_half,
+        momentum_mixed_term=0.5 * pf_sq,
+        drift_term=g * phi,
+        source_term=t_source,
+        kappa=math.inf,
+        mode="parallel",
+        eigen_residual=eigen_residual,
+    )
 
 
 def kvec(r, u=1.0, phi=0.0):
@@ -181,7 +235,8 @@ def test_residual_shrinks_with_solver_tolerance(small_model):
     spec = DilationSpec(kappa=math.inf)
     vals = {}
     for tol in (1e-6, 1e-9):
-        res = small_model.lowest(P, 0.1, count=1, tol=tol)
+        model = dataclasses.replace(small_model, solver_tol=tol)
+        res = model.lowest(P, 0.1, count=1)
         rep = virial_residual(
             res.ground_vector(), P, 0.1, spec, small_model.basis,
             small_model.form_factor, eigen_residual=float(res.residual_norms[0]),
@@ -195,7 +250,7 @@ def test_residual_shrinks_with_solver_tolerance(small_model):
 def test_sector_vacuum_zero(small_basis, default_ff):
     cone = ConeSpec(Z, "forward", plateau_cos=0.8, support_cos=0.3)
     rep = sector_virial_residual(
-        small_basis.vacuum_vector(), (0, 0, 0.5), 1, cone, "parallel", 0.1,
+        small_basis.vacuum_vector(), (0, 0, 0.5), ShellSpec(1), cone, "parallel", 0.1,
         small_basis, default_ff,
     )
     assert rep.residual == 0.0
@@ -208,7 +263,7 @@ def test_sector_boson_outside_cone_support(default_ff):
     one[basis.index_of((0,))] = 1.0
     cone = ConeSpec(Z, "forward", plateau_cos=0.8, support_cos=0.3)
     rep = sector_virial_residual(
-        one, (0, 0, 1.0), 1, cone, "parallel", 0.0, basis, default_ff
+        one, (0, 0, 1.0), ShellSpec(1), cone, "parallel", 0.0, basis, default_ff
     )
     assert rep.number_energy_term == 0.0
     assert rep.momentum_mixed_term == 0.0
@@ -222,7 +277,7 @@ def test_sector_perpendicular_axis_boson_weightless(default_ff):
     one[basis.index_of((0,))] = 1.0
     cone = ConeSpec(Z, "forward", plateau_cos=0.8, support_cos=0.3)
     rep = sector_virial_residual(
-        one, (0, 0, 1.0), 2, cone, "perpendicular", 0.0, basis, default_ff
+        one, (0, 0, 1.0), ShellSpec(2), cone, "perpendicular", 0.0, basis, default_ff
     )
     assert rep.number_energy_term == pytest.approx(0.0, abs=1e-15)
     assert rep.momentum_mixed_term == pytest.approx(0.0, abs=1e-15)
@@ -268,9 +323,7 @@ def test_report_serialization(tmp_path, small_model):
         small_model.form_factor, eigen_residual=float(res.residual_norms[0]),
     )
     path = tmp_path / "virial.json"
-    rep.to_json(path)
-    import json
-
+    _write_json(path, rep.to_dict())
     record = json.loads(path.read_text())
     for key in (
         "residual",

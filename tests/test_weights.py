@@ -1,20 +1,51 @@
 import numpy as np
 import pytest
+from conftest import mode_weights
 
 from cerenkov_fiber.weights import (
+    CONE_SLOPE_CONSTANT,
+    DEFAULT_SHELL_SLOPE_CONSTANT,
     ConeSpec,
     ShellSpec,
     cone_from_coupling,
     cone_weight,
     cone_weight_derivative_u,
-    mode_weights,
     shell_weight,
     shell_weight_derivative,
-    tabulate_cone,
-    tabulate_shell,
 )
 
 Z = np.array([0.0, 0.0, 1.0])
+
+
+def tabulate_shell(spec: ShellSpec, path, samples: int = 512) -> None:
+    """CSV table (r, weight) across the shell support, for plotting."""
+    a0, _, _, b0 = spec.edges
+    r = np.linspace(0.5 * a0, 1.2 * b0, samples)
+    with open(path, "w") as fh:
+        fh.write("r,weight\n")
+        for ri, wi in zip(r, shell_weight(spec, r)):
+            fh.write(f"{repr(float(ri))},{repr(float(wi))}\n")
+
+
+def tabulate_cone(spec: ConeSpec, path, samples: int = 512) -> None:
+    """CSV table (cos_theta, weight) over [-1, 1], for plotting."""
+    u = np.linspace(-1.0, 1.0, samples)
+    khat = np.outer(u, spec.axis) + np.sqrt(np.maximum(1 - u**2, 0.0))[:, None] * (
+        _any_orthonormal(spec.axis)[None, :]
+    )
+    w = cone_weight(spec, khat)
+    with open(path, "w") as fh:
+        fh.write("cos_theta,weight\n")
+        for ui, wi in zip(u, w):
+            fh.write(f"{repr(float(ui))},{repr(float(wi))}\n")
+
+
+def _any_orthonormal(axis: np.ndarray) -> np.ndarray:
+    trial = np.array([1.0, 0.0, 0.0])
+    if abs(axis @ trial) > 0.9:
+        trial = np.array([0.0, 1.0, 0.0])
+    perp = trial - (trial @ axis) * axis
+    return perp / np.linalg.norm(perp)
 
 
 def test_shell_plateau_and_support():
@@ -41,7 +72,7 @@ def test_shell_derivative_bound_dense_sampling():
         spec = ShellSpec(n)
         r = np.linspace(1e-4, 2.0, 200_001)
         d = shell_weight_derivative(spec, r)
-        assert np.max(np.abs(d)) <= spec.ramp_constant * n
+        assert np.max(np.abs(d)) <= DEFAULT_SHELL_SLOPE_CONSTANT * n
 
 
 def test_shell_derivative_matches_fd():
@@ -104,13 +135,13 @@ def test_cone_depends_only_on_polar_angle():
 
 
 def test_cone_polar_derivative_bound():
-    spec = ConeSpec(Z, "forward", plateau_cos=0.9, support_cos=0.5, ramp_constant=4.0)
+    spec = ConeSpec(Z, "forward", plateau_cos=0.9, support_cos=0.5)
     width_theta = np.arccos(0.5) - np.arccos(0.9)
     u = np.linspace(-0.999, 0.999, 20_001)
     khat = np.stack([np.sqrt(1 - u * u), np.zeros_like(u), u], axis=1)
     dxi_du = cone_weight_derivative_u(spec, khat)
     dxi_dtheta = np.abs(dxi_du) * np.sqrt(1 - u * u)
-    assert np.max(dxi_dtheta) <= spec.ramp_constant / width_theta
+    assert np.max(dxi_dtheta) <= CONE_SLOPE_CONSTANT / width_theta
 
 
 def test_cone_derivative_matches_fd():
@@ -143,7 +174,7 @@ def test_cone_from_coupling_geometry():
     assert fwd.plateau_cos == pytest.approx(np.cos(theta / 2))
     # the gamma/8 exponent only gives resolvable angles for tiny couplings
     g_tiny = 1e-5
-    cdl = cone_from_coupling("complement-double", Z, g=g_tiny, gamma=0.2, a=1.0)
+    cdl = cone_from_coupling("complement-double", Z, g=g_tiny, gamma=0.2)
     t8 = g_tiny ** (0.2 / 8)
     assert cdl.support_cos == pytest.approx(np.cos(t8))
     assert cdl.plateau_cos == pytest.approx(np.cos(2 * t8))
