@@ -21,8 +21,8 @@ from cerenkov_fiber.grids import MomentumGrid
 from cerenkov_fiber.smoothing import bump
 
 _ROOT_ATOL = 1e-12
-# relative accuracy asked of the golden-rule quadrature
-GOLDEN_RULE_REL_TOL = 1e-9
+# 32-point Gauss-Legendre rule on [-1, 1] for the golden-rule roll-off in log r
+_ROLL_NODES, _ROLL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
 class EmptyWindowError(RuntimeError):
@@ -68,33 +68,36 @@ def cerenkov_threshold(p_mag: float) -> float | None:
 def golden_rule_rate(P, g: float, ff: FormFactor) -> float:
     """Decay rate of the bare state into the one-boson resonance surface.
 
-    Gamma = 2 pi g^2 integral d^3k rho(|k|)^2 delta((P-k)^2/2 + |k| - P^2/2),
-    reduced to a 1D integral over cos(theta): the root r* = 2(|P| c - 1)
-    carries radial Jacobian 1/(|P| c - 1), leaving the integrand
-    4 (|P| c - 1) rho(r*)^2, integrated to GOLDEN_RULE_REL_TOL.  Zero below
-    the threshold |P| <= 1.
+    Gamma = 2 pi g^2 integral d^3k rho(|k|)^2 delta((P-k)^2/2 + |k| - P^2/2).
+    The resonance root at cos(theta) = c is r = 2(|P| c - 1), and in r
+
+        Gamma = (4 pi^2 g^2 / |P|) integral_0^U r rho(r)^2 dr,
+        U = min(2(|P| - 1), cutoff).
+
+    Up to a = min(U, power_edge) rho is amplitude * r^beta, so that part is
+    amplitude^2 a^s / s with s = 2 beta + 2; the roll-off on [power_edge, U]
+    is integrated by a 32-point Gauss-Legendre rule in log r.  Zero below the
+    threshold |P| <= 1; above it ValueError for beta <= -1, where the
+    integral diverges at r = 0.
     """
     p = _p_magnitude(P)
     if p <= 1.0:
         return 0.0
-    c_lo = 1.0 / p
-    c_hi = min(1.0, (1.0 + 0.5 * ff.cutoff) / p)
-    if c_hi <= c_lo:
-        return 0.0
-
-    def integrand(c):
-        x = p * c - 1.0
-        rho = ff.value(2.0 * x)
-        return 4.0 * x * rho * rho
-
-    # imported here, not at module level: scipy.integrate pulls in
-    # scipy.optimize, which every CLI command would otherwise pay for at start
-    from scipy import integrate
-
-    value, _ = integrate.quad(
-        integrand, c_lo, c_hi, epsrel=GOLDEN_RULE_REL_TOL, epsabs=1e-300, limit=200
-    )
-    return 4.0 * math.pi**2 * g * g * value
+    if ff.beta <= -1.0:
+        raise ValueError(
+            f"golden-rule rate diverges for beta <= -1, got beta = {ff.beta}"
+        )
+    top = min(2.0 * (p - 1.0), ff.cutoff)
+    edge = min(top, ff.power_edge)
+    s = 2.0 * ff.beta + 2.0
+    value = ff.amplitude**2 * edge**s / s
+    if top > edge:
+        lo, hi = math.log(edge), math.log(top)
+        half = 0.5 * (hi - lo)
+        r = np.exp(lo + half * (_ROLL_NODES + 1.0))
+        rho = ff.value(r)
+        value += half * float(_ROLL_WEIGHTS @ (r * r * rho * rho))
+    return 4.0 * math.pi**2 * g * g * value / p
 
 
 @dataclass

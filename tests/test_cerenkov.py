@@ -91,18 +91,33 @@ def test_golden_rule_quadratic_in_coupling():
 
 
 def test_golden_rule_matches_radial_closed_form():
-    # independent reduction: Gamma = (4 pi^2 g^2 / p) * int_0^{2(p-1)} r rho^2 dr
+    # independent reduction: Gamma = (4 pi^2 g^2 / p) * int_0^U r rho^2 dr,
+    # U = min(2(p-1), cutoff), by adaptive quadrature split at the power edge
     from scipy.integrate import quad
 
-    ff = FormFactor()
-    for p in (1.2, 1.5, 1.9):
-        expected = (
-            4.0 * math.pi**2 * 0.01 / p
-            * quad(lambda r: r * ff.value(r) ** 2, 0.0, min(2 * (p - 1), ff.cutoff))[0]
-        )
-        assert golden_rule_rate(np.array([0, 0, p]), 0.1, ff) == pytest.approx(
-            expected, rel=1e-7
-        )
+    for beta in (-0.9, 0.0, 0.5, 1.0, 3.0):
+        for smooth_width in (0.01, 0.2, 0.99):
+            ff = FormFactor(amplitude=1.3, beta=beta, smooth_width=smooth_width)
+            edge = ff.power_edge
+            integrand = lambda r: r * ff.value(r) ** 2
+            # U below the power edge, inside the roll-off, and at the cutoff
+            for top in (0.5 * edge, 0.5 * (edge + ff.cutoff), ff.cutoff):
+                p = 1.0 + 0.5 * top if top < ff.cutoff else 1.9
+                radial = quad(integrand, 0.0, min(top, edge), epsrel=1e-13, epsabs=0.0)[0]
+                if top > edge:
+                    radial += quad(integrand, edge, top, epsrel=1e-13, epsabs=0.0)[0]
+                expected = 4.0 * math.pi**2 * 0.01 / p * radial
+                got = golden_rule_rate(np.array([0, 0, p]), 0.1, ff)
+                assert abs(got - expected) <= 1e-12 * expected, (beta, smooth_width, p)
+
+
+@pytest.mark.parametrize("beta", [-1.0, -1.5])
+def test_golden_rule_divergent_infrared_raises(beta):
+    ff = FormFactor(beta=beta)
+    with pytest.raises(ValueError, match="diverges"):
+        golden_rule_rate(np.array([1.5, 0, 0]), 0.1, ff)
+    # below threshold there is no resonance surface to diverge on
+    assert golden_rule_rate(np.array([0.9, 0, 0]), 0.1, ff) == 0.0
 
 
 def test_golden_rule_nondecreasing_in_power_law_window():

@@ -202,22 +202,56 @@ def test_scan_and_virial_on_symmetric_grid(tmp_path):
     ]) == 0
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate pulls in scipy.optimize; only golden_rule_rate needs it
+def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
+    # scipy.integrate pulls in scipy.optimize, a slow import; neither the
+    # package import nor a golden-rule rate (overlap's automatic window, here
+    # on the Gauss path of the overlap_interior benchmark config) needs it
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"radial_count": 10, "polar_count": 7}))
+    common = ["--config", str(config), "--out", str(tmp_path), "--p", "1.5,0,0"]
     code = (
-        "import sys, cerenkov_fiber.cli; "
-        "print('scipy.integrate' in sys.modules)"
+        "import json, sys\n"
+        "from cerenkov_fiber.cli import main\n"
+        "common = json.loads(sys.argv[1])\n"
+        "loaded = []\n"
+        "for args in ([], ['overlap', '--g', '0.05'], ['golden-rule', '--g', '0.1']):\n"
+        "    assert not args or main(args + common) == 0\n"
+        "    loaded.append([m for m in ('scipy.integrate', 'scipy.optimize')"
+        " if m in sys.modules])\n"
+        "print(json.dumps(loaded))\n"
     )
     src = os.path.dirname(os.path.dirname(spectra.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, json.dumps(common)],
         capture_output=True,
         text=True,
         check=True,
         env=env,
     )
-    assert out.stdout.strip() == "False"
+    assert json.loads(out.stdout.strip().split("\n")[-1]) == [[], [], []]
+    assert "# rows=gauss_nodes" in (tmp_path / "overlap.csv").read_text()
+    assert json.loads((tmp_path / "golden_rule.json").read_text())["rate"] > 0.0
+
+
+@pytest.mark.parametrize("command", ["golden-rule", "overlap"])
+def test_divergent_golden_rule_exits_with_validation_record(tmp_path, capsys, command):
+    # beta <= -1: int_0 r^(2 beta + 1) dr diverges, so there is no rate and
+    # no automatic overlap window
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(SMALL, beta=-1.5)))
+    code = run([
+        command, "--config", str(path), "--out", str(tmp_path),
+        "--p", "1.5,0,0", "--g", "0.1",
+    ])
+    assert code == EXIT_VALIDATION
+    lines = capsys.readouterr().err.strip().split("\n")
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "validation"
+    assert "diverges" in err["message"]
+    assert not (tmp_path / "golden_rule.json").exists()
+    assert not (tmp_path / "overlap.csv").exists()
 
 
 def test_unknown_flag_exit_code(capsys, config_path):
