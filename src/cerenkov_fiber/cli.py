@@ -16,7 +16,7 @@ import numpy as np
 
 from cerenkov_fiber import cerenkov
 from cerenkov_fiber.config import ConfigError, RunConfig, load_config, make_model
-from cerenkov_fiber.fock import BasisSizeError, StateLookupError
+from cerenkov_fiber.fock import BasisSizeError
 from cerenkov_fiber.grids import GridError
 from cerenkov_fiber.observables import expect_number
 from cerenkov_fiber.solver import EigensolverError
@@ -41,7 +41,6 @@ _VALIDATION_ERRORS = (
     ConfigError,
     GridError,
     BasisSizeError,
-    StateLookupError,
     DilationParameterError,
     cerenkov.EmptyWindowError,
     ValueError,
@@ -213,6 +212,8 @@ def _cmd_virial(args) -> int:
 
 
 def _cmd_cerenkov(args) -> int:
+    if args.thetas < 1:
+        raise UsageError(f"--thetas must be >= 1, got {args.thetas}")
     cfg = _load(args)
     P = _parse_vector(args.p)
     p_mag = float(np.linalg.norm(P))

@@ -38,32 +38,9 @@ class BasisSizeError(RuntimeError):
         self.budget = budget
 
 
-class StateLookupError(KeyError):
-    """Occupation is not an admissible basis state."""
-
-
 def untruncated_dimension(n_modes: int, n_max: int) -> int:
     """Stars-and-bars count: sum_n C(M + n - 1, n) for n = 0..n_max."""
     return sum(math.comb(n_modes + n - 1, n) for n in range(n_max + 1))
-
-
-def _canonical_tuple(occupation, n_modes: int) -> tuple:
-    """Normalize an occupation to the sorted mode-index word.
-
-    Accepts a dict {mode: count} or an iterable of mode indices with
-    repetition (e.g. (3, 3, 7) for two bosons at mode 3 and one at mode 7).
-    """
-    if isinstance(occupation, dict):
-        word = []
-        for mode, count in sorted(occupation.items()):
-            if count < 0:
-                raise StateLookupError(f"negative count for mode {mode}")
-            word.extend([int(mode)] * int(count))
-    else:
-        word = sorted(int(m) for m in occupation)
-    if any(not 0 <= m < n_modes for m in word):
-        raise StateLookupError(f"occupation {occupation!r} has out-of-range modes")
-    return tuple(word)
 
 
 @dataclass
@@ -126,31 +103,6 @@ class FockBasis:
     def dimension(self) -> int:
         return len(self.words)
 
-    def index_of(self, occupation) -> int:
-        word = _canonical_tuple(occupation, self.grid.n_modes)
-        width = self.words.shape[1]
-        if len(word) <= width:
-            row = np.full((1, width), -1, dtype=np.int64)
-            row[0, : len(word)] = word
-            key = self._key(row)[0]
-            i = int(np.searchsorted(self._keys, key))
-            if i < self.dimension and self._keys[i] == key:
-                return i
-        raise StateLookupError(
-            f"occupation {occupation!r} is not in the truncated basis"
-        )
-
-    def state_at(self, ordinal: int) -> tuple:
-        """Nondecreasing mode-index word of basis state `ordinal`."""
-        row = self.words[ordinal]
-        return tuple(row[row >= 0].tolist())
-
-    def occupation_of(self, ordinal: int) -> dict:
-        occ = {}
-        for mode in self.state_at(ordinal):
-            occ[mode] = occ.get(mode, 0) + 1
-        return occ
-
     def one_boson_ordinals(self) -> np.ndarray:
         """Ordinal of each mode's one-boson state; -1 where truncated away."""
         out = np.full(self.grid.n_modes, -1, dtype=np.int64)
@@ -158,11 +110,6 @@ class FockBasis:
         single = self.boson_count[state] == 1
         out[modes[single]] = state[single]
         return out
-
-    def vacuum_vector(self) -> np.ndarray:
-        vec = np.zeros(self.dimension)
-        vec[0] = 1.0
-        return vec
 
     def dgamma_diagonal(self, mode_weights) -> np.ndarray:
         """Diagonal of dGamma(w): per state, sum of count * w(mode)."""

@@ -82,29 +82,6 @@ class MomentumGrid:
     def unit_vectors(self) -> np.ndarray:
         return self.k / self.magnitudes[:, None]
 
-    @property
-    def max_radial_width(self) -> float:
-        """Widest radial cell; the grid's energy-resolution scale."""
-        if self.radial_edges is None or len(self.radial_edges) < 2:
-            return 0.0
-        return float(np.max(np.diff(self.radial_edges)))
-
-    @classmethod
-    def single_mode(cls, k, vol: float) -> "MomentumGrid":
-        """One explicit mode with a declared cell volume (toy models, oracles)."""
-        k = np.asarray(k, dtype=float).reshape(1, 3)
-        mag = float(np.linalg.norm(k))
-        if mag <= 0.0 or vol <= 0.0:
-            raise GridError("single mode needs |k| > 0 and vol > 0")
-        return cls(
-            k=k,
-            vol=np.array([float(vol)]),
-            k_min=mag,
-            k_max=mag,
-            radial_nodes=1,
-            angular_nodes=1,
-        )
-
 
 def _radial_cells(spec: RadialSpec):
     """Cell edges, node radii, and exact radial measures integral(r^2 dr)."""

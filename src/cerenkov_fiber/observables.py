@@ -37,15 +37,3 @@ def expect_number(state, weight, basis: FockBasis) -> float:
 def expect_field_momentum(state, basis: FockBasis) -> np.ndarray:
     psi = _normalized(state, "expect_field_momentum")
     return (psi * psi) @ basis.total_momentum
-
-
-def expect_field_energy(state, basis: FockBasis) -> float:
-    psi = _normalized(state, "expect_field_energy")
-    return float(np.sum(psi * psi * basis.free_field_energy))
-
-
-def expect_field_momentum_sq(state, basis: FockBasis) -> float:
-    """<(P^f)^2>: diagonal, the squared vector sum per basis state."""
-    psi = _normalized(state, "expect_field_momentum_sq")
-    sq = np.einsum("sd,sd->s", basis.total_momentum, basis.total_momentum)
-    return float(np.sum(psi * psi * sq))

@@ -5,9 +5,11 @@
 - "diagonal": the matrix is diagonal (e.g. g = 0), so occupation states are
   eigenvectors;
 - "dense": LAPACK, up to `dense_cutoff` rows;
-- "schur": shift-invert Lanczos (ARPACK) through the exact Schur complement
-  of the matrix's trailing diagonal block, when the complement has at most
-  `dense_cutoff` rows;
+- "schur": through the exact Schur complement of the matrix's trailing
+  diagonal block, when the complement has at most `dense_cutoff` rows.
+  Safeguarded Newton on the complement's lowest eigenvalue places a shift
+  just below the ground energy and converges the ground pair on the way;
+  further pairs come from shift-invert Lanczos (ARPACK) at that shift;
 - "lobpcg": block LOBPCG preconditioned by the inverse shifted diagonal
   otherwise (Knyazev, SIAM J. Sci. Comput. 23 (2001) 517), which stops as
   soon as the requested pairs converge.
@@ -30,8 +32,26 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from cerenkov_fiber.hamiltonian import SparseHermitianOperator
 
 DENSE_CUTOFF = 2000
-# bisection for the shift stops at this share of the initial bracket
+# the Schur shift search starts this share of its first bracket below the
+# Gershgorin bound, so that S there is strictly definite
 SHIFT_BRACKET_SHARE = 1e-6
+# vectors in the block that the shift search iterates, and its inverse
+# iteration steps per factorization.  On the default config (|P| 0.5-1.9,
+# g 0.05 and 0.3) two steps took 171 factorizations over 36 solves, three
+# 159 and four 148; each step costs a small share of a factorization
+SHIFT_BLOCK = 4
+SHIFT_STEPS = 3
+# Newton on the block's mu stops when a step moves less than this share of
+# its first bracket, or after so many steps (it takes 2-6)
+SHIFT_ROOT_TOL = 1e-14
+SHIFT_ROOT_STEPS = 50
+# the confirmed shift lies at least this share of the first bracket below the
+# ground energy, clear of rounding
+SHIFT_MARGIN_SHARE = 1e-12
+# factorizations after which the shift search returns its pair unconfirmed,
+# for the caller's residual check; bisection alone would by then have halved
+# the bracket to rounding
+SHIFT_MAX_FACTORIZATIONS = 64
 # LOBPCG preconditions with (diag H - sigma)^-1, sigma this far below
 # min(diag H), so it is positive definite.  On a dim-368k n_max = 3 fiber
 # the ground state took 19 iterations at 5e-2, 58 at 1e-3 and 44 with sigma
@@ -131,9 +151,14 @@ class SchurBlocks:
         self.coupling_t = self.coupling.T.tocsr()
         self.top = mat.diagonal()[t:]
 
-    def complement(self, s: float) -> np.ndarray:
+    def scaled_coupling_t(self, divisors: np.ndarray):
+        """B^T with row j divided by divisors[j], i.e. diag(divisors)^-1 B^T."""
         scaled = self.coupling_t.copy()
-        scaled.data /= np.repeat(self.top - s, np.diff(scaled.indptr))
+        scaled.data /= np.repeat(divisors, np.diff(scaled.indptr))
+        return scaled
+
+    def complement(self, s: float) -> np.ndarray:
+        scaled = self.scaled_coupling_t(self.top - s)
         out = self.lead - (self.coupling @ scaled).toarray()
         out[np.diag_indices_from(out)] -= s
         return out
@@ -152,21 +177,29 @@ class SchurBlocks:
         _, blocks, _ = scipy.linalg.ldl(self.complement(s), check_finite=False)
         return int(np.count_nonzero(self.top < s)), _negative_inertia(blocks)
 
-    def inverse(self, s: float, factor) -> LinearOperator:
-        """(H - s)^-1 by block elimination, given a Cholesky factor of S(s)."""
+    def solve(self, s: float, factor, x: np.ndarray) -> np.ndarray:
+        """(H - s)^-1 x by block elimination, given a Cholesky factor of S(s).
+
+        `x` is a vector or a block of column vectors.
+        """
         t = len(self.lead)
         top_inv = 1.0 / (self.top - s)
+        if x.ndim == 2:
+            top_inv = top_inv[:, None]
+        y_top = top_inv * x[t:]
+        lead = scipy.linalg.cho_solve(
+            factor, x[:t] - self.coupling @ y_top, check_finite=False
+        )
+        return np.concatenate([lead, y_top - top_inv * (self.coupling_t @ lead)])
 
-        def apply(x):
-            x = np.ravel(x)
-            y_top = top_inv * x[t:]
-            lead = scipy.linalg.cho_solve(
-                factor, x[:t] - self.coupling @ y_top, check_finite=False
-            )
-            return np.concatenate([lead, y_top - top_inv * (self.coupling_t @ lead)])
-
-        dim = t + len(self.top)
-        return LinearOperator((dim, dim), matvec=apply, dtype=float)
+    def inverse(self, s: float, factor) -> LinearOperator:
+        """(H - s)^-1 as an operator, given a Cholesky factor of S(s)."""
+        dim = len(self.lead) + len(self.top)
+        return LinearOperator(
+            (dim, dim),
+            matvec=lambda x: self.solve(s, factor, np.ravel(x)),
+            dtype=float,
+        )
 
 
 def _negative_inertia(blocks: np.ndarray) -> int:
@@ -182,35 +215,138 @@ def _negative_inertia(blocks: np.ndarray) -> int:
     return int(np.count_nonzero(diag[single] < 0.0) + pair_negatives.sum())
 
 
-def _shift_below_ground(mat, blocks: SchurBlocks):
-    """A shift s just below the lowest eigenvalue, with Cholesky of S(s).
+def _block_newton(blocks: SchurBlocks, u: np.ndarray, lo: float, pole: float):
+    """Newton from lo on mu_U(s) = lambda_min(U^T S(s) U), the block's mu.
 
-    The lowest eigenvalue lies between the Gershgorin bound and min(diag H),
-    and S(s) is positive definite exactly when s lies below it (s stays below
-    min(diag H), hence below D).  Bisection on Cholesky success narrows the
-    bracket to SHIFT_BRACKET_SHARE of its width and returns its lower end.
+    `u` has orthonormal columns.  Like mu, mu_U is concave and decreasing
+    below min D (`pole`), and mu_U >= mu, so its root in (lo, pole), the
+    least Rayleigh functional on span U, bounds E0 from above.  For the
+    lowest eigenvector c of U^T S(s) U and w = (D - s)^-1 B^T U c, the Newton
+    step is the Rayleigh quotient on H of psi = [U c; -w]; steps that leave
+    the bracket on the root take its midpoint.  Only products with A, B and
+    D are needed, never with H.
+
+    Returns the root, the distance from it to the Newton step of the next
+    eigenvector (an estimate of the gap to the next level), and psi at the
+    root with its residual norm on H, both for unit psi.
+    """
+    bt = np.ascontiguousarray((blocks.coupling_t @ u).T)  # rows (B^T u_i)^T
+    a_u = blocks.lead @ u
+    small = u.T @ a_u
+    left, right, s = lo, pole, lo
+    for _ in range(SHIFT_ROOT_STEPS):
+        at = s
+        weighted = bt / (blocks.top - at)
+        mu, coef = np.linalg.eigh(small - weighted @ bt.T - at * np.eye(len(bt)))
+        w = coef.T @ weighted  # row i: (D - at)^-1 B^T U c_i
+        steps = at + mu / (1.0 + np.einsum("ij,ij->i", w, w))
+        if mu[0] > 0.0:
+            left = at
+        else:
+            right = at
+        if abs(steps[0] - at) <= SHIFT_ROOT_TOL * (pole - lo):
+            break
+        s = steps[0] if left < steps[0] < right else 0.5 * (left + right)
+        if s == right:  # no root below the pole: the bracket is exhausted
+            break
+    root, c = steps[0], coef[:, 0]
+    top = u @ c
+    # H psi - root psi = [A top - B w - root top; (root - at) w]
+    residual = np.hypot(
+        np.linalg.norm(a_u @ c - blocks.coupling @ w[0] - root * top),
+        (root - at) * np.linalg.norm(w[0]),
+    )
+    norm = np.sqrt(1.0 + w[0] @ w[0])
+    gap = steps[1] - root if len(steps) > 1 else 0.0
+    return root, gap, np.concatenate([top, -w[0]]) / norm, float(residual / norm)
+
+
+def _ground_by_newton(mat, blocks: SchurBlocks, tol: float):
+    """A shift just below the lowest eigenvalue E0, its factor, and the ground vector.
+
+    Below min D, mu(s) = lambda_min S(s) is concave and decreasing, and E0
+    is its only root.  For a unit u with S(s) u = mu u and
+    w = (D - s)^-1 B^T u, the Newton iterate s + mu / (1 + |w|^2) is the
+    Rayleigh quotient on H of psi = [u; -w], so it bounds E0 from above.
+    Every trial stays below min(diag H) <= min D, where S(s) has a Cholesky
+    factor exactly when s lies below E0, so mu is never evaluated directly.
+    At each shift lo where the factor exists, a block
+    of SHIFT_BLOCK vectors takes SHIFT_STEPS steps of residual inverse
+    iteration (Neumaier, SIAM J. Numer. Anal. 22 (1985) 914), which
+    converges to the top block of the ground state rather than to the
+    lowest eigenvector of S(lo): U <- S(lo)^-1 M U, with M the secant
+    (S(lo) - S(hi)) / (hi - lo) through the best upper bound hi.  Newton on
+    the block's mu (`_block_newton`) then gives the block's Rayleigh
+    functional, an upper bound on E0 with residual r.
+
+    The next shift lies below that bound by a margin: the Temple bound
+    r^2 / gap, or r itself (Krylov-Weinstein) when the gap is smaller than r
+    or the last trial failed.  A failed Cholesky lowers hi.  After two
+    failures, when the bound cannot be E0's (it lies more than r above hi),
+    or when the step leaves the bracket [lo, hi], the midpoint is tried
+    instead.  Once r meets the inner tolerance, the next successful Newton
+    trial, at least SHIFT_MARGIN_SHARE of the first bracket below the bound,
+    confirms a shift just below E0.
+
+    Returns the shift, its Cholesky factor, the unit ground vector, and the
+    counts of factorizations and inverse-iteration steps.  After
+    SHIFT_MAX_FACTORIZATIONS it returns unconfirmed, and the caller's
+    residual check reports the pair.
     """
     diag = mat.diagonal()
     radius = np.asarray(abs(mat).sum(axis=1)).ravel() - np.abs(diag)
     lo = float(np.min(diag - radius))
     hi = float(np.min(diag))
     lo -= SHIFT_BRACKET_SHARE * max(hi - lo, 1.0)  # strict: H - lo definite
-    width = hi - lo
+    floor = SHIFT_MARGIN_SHARE * max(hi - lo, 1.0)
     factor = blocks.cholesky(lo)
     if factor is None:
         raise EigensolverError(
             f"Schur complement not definite below the Gershgorin bound {lo:.6e}"
         )
     factorizations = 1
-    while hi - lo > SHIFT_BRACKET_SHARE * width:
-        mid = 0.5 * (lo + hi)
+    pole = float(blocks.top.min())
+    lead = np.diagonal(blocks.lead)
+    start = _start_block(lead, min(SHIFT_BLOCK, len(lead)))
+    start[-1] = 1.0  # the last column uniform, which has the symmetry of H
+    u = np.linalg.qr(start.T)[0]
+    inner = tol * 1e-2
+    failures = steps = 0
+    while True:
+        secant = None
+        if hi < pole:
+            secant = blocks.scaled_coupling_t((blocks.top - lo) * (blocks.top - hi))
+        for _ in range(SHIFT_STEPS):
+            if secant is not None:
+                u = u + blocks.coupling @ (secant @ u)
+            u = scipy.linalg.cho_solve(factor, u, check_finite=False)
+            u = np.linalg.qr(u)[0]
+        steps += SHIFT_STEPS
+        root, gap, vector, residual = _block_newton(blocks, u, lo, pole)
+        # the bound is E0's only if an eigenvalue within r of it
+        # (Krylov-Weinstein) may lie in the bracket
+        ground = root - residual < hi
+        hi = min(hi, root)
+        margin = residual if failures or gap <= residual else residual**2 / gap
+        trial = root - max(margin, floor)
+        converged = residual <= inner and not failures
+        if converged and trial - lo <= floor:
+            break  # the shift already lies within the margin below E0
+        newton = ground and failures < 2 and lo < trial < hi
+        if not newton:
+            trial = 0.5 * (lo + hi)
         factorizations += 1
-        trial = blocks.cholesky(mid)
-        if trial is None:
-            hi = mid
+        attempt = blocks.cholesky(trial)
+        if attempt is None:
+            hi = trial
+            failures += 1
         else:
-            lo, factor = mid, trial
-    return lo, factor, factorizations
+            lo, factor, failures = trial, attempt, 0
+            if newton and converged:
+                break
+        if hi - lo <= floor or factorizations == SHIFT_MAX_FACTORIZATIONS:
+            break
+    return lo, factor, vector, factorizations, steps
 
 
 def _arpack(mat, count, tol, maxiter, v0, **selection):
@@ -237,6 +373,18 @@ def _arpack(mat, count, tol, maxiter, v0, **selection):
         ) from exc
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
+
+
+def _start_block(diag: np.ndarray, block: int) -> np.ndarray:
+    """Unit vectors on the lowest diagonal entries, as rows, plus noise.
+
+    The fixed-seed random perturbation seeds every symmetry sector.
+    """
+    start = LOBPCG_START_NOISE * np.random.default_rng(0).standard_normal(
+        (block, len(diag))
+    )
+    start[np.arange(block), np.argsort(diag, kind="stable")[:block]] += 1.0
+    return start
 
 
 def _column_chunks(dim: int):
@@ -309,12 +457,7 @@ def _lobpcg_pairs(mat, count, tol, maxiter):
     scale = 1.0 / (diag - (diag.min() - LOBPCG_SHIFT_OFFSET))
     span = np.empty((3 * block, dim))
     image = np.empty_like(span)
-    start = LOBPCG_START_NOISE * np.random.default_rng(0).standard_normal(
-        (block, dim)
-    )
-    start[np.arange(block), np.argsort(diag, kind="stable")[:block]] += 1.0
-    span[:block] = _orthonormal(start)
-    del start
+    span[:block] = _orthonormal(_start_block(diag, block))
     used = block  # rows of span in the search space
     residual = np.empty((block, dim))
     for i in range(block):
@@ -412,23 +555,36 @@ def _deflated(inverse: LinearOperator, found: np.ndarray) -> LinearOperator:
 
 
 def _schur_pairs(mat, t: int, count, tol, maxiter):
-    """Lowest `count` pairs by shift-invert through the Schur complement.
+    """Lowest `count` pairs through the Schur complement.
 
-    Single-vector Lanczos sees one vector per distinct eigenvalue, and the
-    uniform start none outside the fully symmetric sector, so on grids with
-    azimuthal symmetry it can skip a level.  The inertia count shows how
-    many were skipped; each restart then runs on (H - s)^-1 deflated against
-    the pairs found, from a fixed-seed random start, which finds at least
-    the lowest skipped level.
+    Safeguarded Newton (`_ground_by_newton`) places the shift just below the
+    ground energy and converges the ground vector on the way.  For `count` =
+    1 one step of inverse iteration at that shift polishes it, and no
+    Lanczos run is needed; more pairs come from shift-invert Lanczos
+    (ARPACK) at the shift.  Either way the inertia certificate checks the
+    result.  Single-vector Lanczos sees one vector per distinct eigenvalue,
+    and the uniform start none outside the fully symmetric sector, so on
+    grids with azimuthal symmetry it can skip a level.  The inertia count
+    shows how many were skipped; each restart then runs on (H - s)^-1
+    deflated against the pairs found, from a fixed-seed random start, which
+    finds at least the lowest skipped level.
     """
     dim = mat.shape[0]
-    v0 = np.full(dim, 1.0 / np.sqrt(dim))
     blocks = SchurBlocks(mat, t)
-    shift, factor, factorizations = _shift_below_ground(mat, blocks)
-    inverse = blocks.inverse(shift, factor)
-    vals, vecs = _arpack(
-        mat, count, tol, maxiter, v0, sigma=shift, which="LM", OPinv=inverse
+    shift, factor, vector, factorizations, steps = _ground_by_newton(
+        mat, blocks, tol
     )
+    inverse = blocks.inverse(shift, factor)
+    if count == 1:
+        # the value is the shift-invert Rayleigh quotient, as in ARPACK
+        image = blocks.solve(shift, factor, vector)
+        vals = np.array([shift + 1.0 / (vector @ image)])
+        vecs = (image / np.linalg.norm(image))[:, None]
+    else:
+        v0 = np.full(dim, 1.0 / np.sqrt(dim))
+        vals, vecs = _arpack(
+            mat, count, tol, maxiter, v0, sigma=shift, which="LM", OPinv=inverse
+        )
     restarts = 0
     rng = np.random.default_rng(0)
     record = _inertia_counts(blocks, vals, tol)
@@ -450,10 +606,10 @@ def _schur_pairs(mat, t: int, count, tol, maxiter):
         vals, vecs = vals[order], vecs[:, order]
         record = _inertia_counts(blocks, vals, tol)
     diagnostics = {
-        "start_vector": "uniform",
         "schur_size": t,
         "shift": shift,
         "factorizations": factorizations,
+        "inverse_steps": steps,
         "deflated_restarts": restarts,
     }
     diagnostics.update(_certify(blocks, vals, tol, record))
@@ -472,7 +628,8 @@ def lowest_eigenpairs(
     The module docstring lists the paths: with t the start of the trailing
     diagonal block, a diagonal matrix (t = 0) takes "diagonal", a dimension
     up to `dense_cutoff` "dense", t up to `dense_cutoff` "schur", and a
-    larger t "lobpcg".  Raises :class:`EigensolverError` when an iterative
+    larger t "lobpcg".  `count` equal to a dimension above `dense_cutoff`
+    raises ValueError.  Raises :class:`EigensolverError` when an iterative
     path fails to reach the tolerance, carrying the best residuals, or when
     the Schur path's inertia certificate fails.  `maxiter` None means
     ARPACK's default on the Schur path and LOBPCG_MAXITER on the LOBPCG
@@ -498,11 +655,16 @@ def lowest_eigenpairs(
             method="diagonal",
             diagnostics=diagnostics,
         )
-    if count == dim or dim <= dense_cutoff:
+    if dim <= dense_cutoff:
         vals, vecs = scipy.linalg.eigh(
             mat.toarray(), subset_by_index=(0, count - 1)
         )
         used = "dense"
+    elif count == dim:
+        raise ValueError(
+            f"count={count} asks for the whole spectrum, and the dimension "
+            f"exceeds dense_cutoff={dense_cutoff}, the largest dense matrix"
+        )
     elif t <= dense_cutoff:
         vals, vecs, path_diagnostics = _schur_pairs(mat, t, count, tol, maxiter)
         diagnostics.update(path_diagnostics)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import fit_loglog_slope
+from conftest import fit_loglog_slope, single_mode_grid, vacuum_vector
 
 from cerenkov_fiber.cerenkov import (
     EmptyWindowError,
@@ -16,7 +16,7 @@ from cerenkov_fiber.cerenkov import (
 )
 from cerenkov_fiber.fock import build_basis
 from cerenkov_fiber.formfactor import FormFactor
-from cerenkov_fiber.grids import AngularSpec, MomentumGrid, RadialSpec, build_grid
+from cerenkov_fiber.grids import AngularSpec, RadialSpec, build_grid
 from cerenkov_fiber.hamiltonian import build_interaction
 from cerenkov_fiber.smoothing import bump
 
@@ -176,7 +176,7 @@ def test_decay_element_zero_coupling(resonant_setup):
 def test_decay_element_single_mode_closed_form():
     # on-resonance single mode: element = g * vol * rho^2 * eps^(-1/2) * h(0)
     ff = FormFactor(cutoff=2.0)
-    grid = MomentumGrid.single_mode((1.0, 0.0, 0.0), vol=0.3)
+    grid = single_mode_grid((1.0, 0.0, 0.0), vol=0.3)
     basis = build_basis(grid, 1)
     P = np.array([1.5, 0.0, 0.0])
     eps = 0.02
@@ -192,7 +192,7 @@ def test_decay_element_matches_assembled_operator(resonant_setup):
     g = 0.07
     eta, _ = trial_state(P, TrialSpec(epsilon=0.05, energy=1.125), grid, basis)
     phi = build_interaction(basis, ff)
-    vac = basis.vacuum_vector()
+    vac = vacuum_vector(basis)
     via_matrix = g * float(eta @ (phi.matrix @ vac))
     assert decay_element(eta, ff, g, basis) == pytest.approx(via_matrix, abs=1e-12)
 

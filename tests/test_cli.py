@@ -254,6 +254,35 @@ def test_divergent_golden_rule_exits_with_validation_record(tmp_path, capsys, co
     assert not (tmp_path / "overlap.csv").exists()
 
 
+@pytest.mark.parametrize("thetas", ["0", "-3"])
+def test_cerenkov_thetas_below_one_exit_with_usage_record(tmp_path, capsys, thetas):
+    code = run([
+        "cerenkov", "--out", str(tmp_path), "--p", "1.5,0,0", "--thetas", thetas,
+    ])
+    assert code == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "usage"
+    assert "--thetas" in err["message"]
+    assert not (tmp_path / "cerenkov.csv").exists()
+
+
+def test_whole_spectrum_above_dense_cutoff_exits_with_validation_record(
+    tmp_path, capsys
+):
+    # SMALL has dimension 25; --pairs past it is clamped to the dimension
+    path = tmp_path / "cutoff.json"
+    path.write_text(json.dumps({**SMALL, "experiment": {"dense_cutoff": 10}}))
+    code = run([
+        "spectrum", "--config", str(path), "--out", str(tmp_path),
+        "--p", "0.5,0,0", "--g", "0.05", "--pairs", "1000000",
+    ])
+    assert code == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "validation"
+    assert "dense_cutoff=10" in err["message"]
+    assert not (tmp_path / "spectrum.json").exists()
+
+
 def test_unknown_flag_exit_code(capsys, config_path):
     code = run(["scan", "--config", config_path, "--bogus", "1"])
     assert code == EXIT_VALIDATION

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import max_radial_width, single_mode_grid
 
 from cerenkov_fiber import grids
 from cerenkov_fiber.grids import (
@@ -46,7 +47,7 @@ def test_refinement_halves_max_cell_width():
     ratio_coarse = coarse.radial_edges[1] / coarse.radial_edges[0]
     ratio_fine = fine.radial_edges[1] / fine.radial_edges[0]
     assert ratio_fine == pytest.approx(np.sqrt(ratio_coarse), rel=1e-12)
-    shrink = fine.max_radial_width / coarse.max_radial_width
+    shrink = max_radial_width(fine) / max_radial_width(coarse)
     assert 0.45 < shrink < 0.56
 
 
@@ -100,11 +101,11 @@ def test_validation_errors(monkeypatch):
 
 
 def test_single_mode_constructor():
-    grid = MomentumGrid.single_mode((0.0, 0.0, 0.7), vol=0.25)
+    grid = single_mode_grid((0.0, 0.0, 0.7), vol=0.25)
     assert grid.n_modes == 1
     assert grid.vol[0] == 0.25
     with pytest.raises(GridError):
-        MomentumGrid.single_mode((0.0, 0.0, 0.0), vol=0.25)
+        single_mode_grid((0.0, 0.0, 0.0), vol=0.25)
 
 
 def test_csv_dump_round_trips(tmp_path):

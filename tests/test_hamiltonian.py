@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import index_of, single_mode_grid
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
@@ -66,17 +67,17 @@ def test_free_fiber_vacuum(small_basis):
 
 
 def test_free_fiber_one_and_two_boson_values(wide_ff):
-    grid = MomentumGrid.single_mode((1.0, 0.0, 0.0), vol=0.3)
+    grid = single_mode_grid((1.0, 0.0, 0.0), vol=0.3)
     basis = build_basis(grid, 2)
-    one = basis.index_of((0,))
-    two = basis.index_of((0, 0))
+    one = index_of(basis, (0,))
+    two = index_of(basis, (0, 0))
     diag = free_fiber_diagonal(basis, (1.5, 0, 0))
     assert diag[one] == pytest.approx(0.5**2 / 2 + 1.0)  # 1.125
     diag2 = free_fiber_diagonal(basis, (2.0, 0, 0))
-    k05 = MomentumGrid.single_mode((0.5, 0.0, 0.0), vol=0.3)
+    k05 = single_mode_grid((0.5, 0.0, 0.0), vol=0.3)
     basis05 = build_basis(k05, 2)
     diag05 = free_fiber_diagonal(basis05, (2.0, 0, 0))
-    assert diag05[basis05.index_of((0, 0))] == pytest.approx(1.5)  # (2-1)^2/2 + 1
+    assert diag05[index_of(basis05, (0, 0))] == pytest.approx(1.5)  # (2-1)^2/2 + 1
     assert diag2[two] == pytest.approx(2.0)  # (2-2)^2/2 + 2
 
 
@@ -84,7 +85,7 @@ def test_interaction_single_mode_matrix_element(single_mode_setup):
     grid, basis, ff = single_mode_setup
     phi = build_interaction(basis, ff).matrix.toarray()
     expected = np.sqrt(0.3) * ff.value(1.0)
-    one = basis.index_of((0,))
+    one = index_of(basis, (0,))
     assert phi[one, 0] == pytest.approx(expected)
     assert phi[0, one] == pytest.approx(expected)
     assert phi[0, 0] == 0.0  # <vacuum, phi vacuum> = 0
@@ -97,7 +98,7 @@ def test_modes_beyond_cutoff_give_zero_rows(default_ff):
     dead_modes = np.nonzero(grid.magnitudes >= default_ff.cutoff)[0]
     assert len(dead_modes) > 0
     for m in dead_modes:
-        row = basis.index_of((int(m),))
+        row = index_of(basis, (int(m),))
         assert phi[row].nnz == 0
 
 
@@ -142,7 +143,7 @@ def test_field_momentum_energy_and_number(small_grid, small_basis, default_ff):
     assert n_op.diagonal()[0] == 0.0
     # one boson at a known mode
     mode = 2
-    idx = small_basis.index_of((mode,))
+    idx = index_of(small_basis, (mode,))
     kvec = small_grid.k[mode]
     for d in range(3):
         assert pf[d].diagonal()[idx] == pytest.approx(kvec[d])

@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from cerenkov_fiber import solver
 from cerenkov_fiber.config import RunConfig, make_model
 from cerenkov_fiber.fock import build_basis
 from cerenkov_fiber.formfactor import FormFactor
@@ -132,7 +133,10 @@ def test_lobpcg_stops_when_requested_pairs_converge():
     assert cluster.diagnostics["iterations"] > 100
 
 
-def test_certificate_mismatch_raises(monkeypatch):
+@pytest.mark.parametrize("count", [1, 5])
+def test_certificate_mismatch_raises(monkeypatch, count):
+    # count = 1 takes the ground pair from the shift search, not from ARPACK,
+    # and must still go through the certificate
     mat = sparse.csr_matrix(random_with_trailing_diagonal(t=60))
     true_count = SchurBlocks.count_below
 
@@ -142,7 +146,25 @@ def test_certificate_mismatch_raises(monkeypatch):
 
     monkeypatch.setattr(SchurBlocks, "count_below", one_more)
     with pytest.raises(EigensolverError, match="certificate"):
-        lowest_eigenpairs(mat, 5, tol=1e-9, dense_cutoff=100)
+        lowest_eigenpairs(mat, count, tol=1e-9, dense_cutoff=100)
+
+
+def test_schur_ground_pair_without_lanczos(monkeypatch):
+    # Newton places the shift in a few factorizations (bisection took 21),
+    # and one pair needs no ARPACK run at all
+    model = make_model(RunConfig().validate())
+
+    def no_lanczos(*args, **kwargs):
+        raise AssertionError("eigsh called for a single pair")
+
+    monkeypatch.setattr(solver, "eigsh", no_lanczos)
+    for p_mag in (0.5, 1.1, 1.3, 1.5, 1.9):
+        h = model.hamiltonian(model.on_axis(p_mag), 0.05).matrix
+        res = lowest_eigenpairs(h, 1, tol=1e-9)
+        assert res.method == "schur"
+        assert res.diagnostics["factorizations"] <= 7
+        assert res.diagnostics["shift"] < res.eigenvalues[0]
+        assert res.residual_norms[0] <= 1e-12
 
 
 def test_certificate_accepts_a_cut_multiplet_and_rejects_a_gap():
@@ -191,6 +213,29 @@ def test_schur_count_matches_dense_spectrum(
     assert sum(blocks.count_below(s)) == np.count_nonzero(eigs < s)
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    radial=st.integers(2, 4),
+    polar=st.integers(1, 2),
+    azimuthal=st.integers(1, 2),
+    n_max=st.integers(1, 3),
+    cut_e=st.one_of(st.none(), st.floats(0.3, 3.0)),
+    p=st.floats(0.0, 2.0),
+    g=st.floats(0.01, 1.0),
+)
+def test_schur_ground_pair_matches_dense(radial, polar, azimuthal, n_max, cut_e, p, g):
+    grid = build_grid(RadialSpec(0.1, 1.0, radial), AngularSpec(polar, azimuthal))
+    basis = build_basis(grid, n_max, cut_e)
+    mat = build_fiber_hamiltonian(basis, FormFactor(cutoff=2.0), (0.0, 0.0, p), g).matrix
+    t = trailing_diagonal_start(mat)
+    assume(0 < t < mat.shape[0])
+    e0 = scipy.linalg.eigvalsh(mat.toarray(), subset_by_index=(0, 0))[0]
+    res = lowest_eigenpairs(mat, 1, tol=1e-9, dense_cutoff=t)
+    assert res.method == "schur"
+    assert abs(res.eigenvalues[0] - e0) <= 1e-12 * max(1.0, abs(e0))
+    assert res.diagnostics["shift"] < e0
+
+
 def test_eigenvectors_orthonormal(small_model):
     h = small_model.hamiltonian(small_model.on_axis(0.5), 0.2)
     res = lowest_eigenpairs(h, 4, tol=1e-10)
@@ -229,6 +274,12 @@ def test_count_validation():
         lowest_eigenpairs(mat, 5, tol=1e-9)
     with pytest.raises(ValueError):
         lowest_eigenpairs(mat, 1, tol=-1.0)
+    # the whole spectrum of a matrix above the cutoff would be a dense solve
+    # past the largest dense matrix
+    coupled = sparse.csr_matrix(random_with_trailing_diagonal(dim=20, t=5))
+    with pytest.raises(ValueError, match="dense_cutoff"):
+        lowest_eigenpairs(coupled, 20, tol=1e-9, dense_cutoff=10)
+    assert lowest_eigenpairs(coupled, 20, tol=1e-9, dense_cutoff=20).method == "dense"
 
 
 def test_deterministic_lobpcg_runs():

@@ -6,10 +6,11 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from conftest import max_radial_width, single_mode_grid
 
 from cerenkov_fiber.fock import build_basis
 from cerenkov_fiber.formfactor import FormFactor
-from cerenkov_fiber.grids import AngularSpec, MomentumGrid, RadialSpec, build_grid
+from cerenkov_fiber.grids import AngularSpec, RadialSpec, build_grid
 from cerenkov_fiber.hamiltonian import free_fiber_diagonal
 from cerenkov_fiber.spectra import (
     DEGENERACY_TOL,
@@ -58,7 +59,7 @@ def test_free_embedded_minimum_tracks_boundary(scan_model):
     res = scan_model.lowest(P, 0.0, count=1)
     brute = float(np.min(free_fiber_diagonal(scan_model.basis, P)))
     assert res.ground_energy == pytest.approx(brute, abs=1e-13)
-    assert abs(res.ground_energy - 1.0) <= 2.0 * scan_model.grid.max_radial_width
+    assert abs(res.ground_energy - 1.0) <= 2.0 * max_radial_width(scan_model.grid)
 
 
 def test_free_slope_above_threshold_near_unity(scan_model):
@@ -114,7 +115,7 @@ def test_fh_transverse_components_vanish_on_symmetric_grid():
 def test_fh_gradient_averages_degenerate_cluster(wide_ff):
     # single resonant mode at g = 0: vacuum and one-boson states are exactly
     # degenerate, so the gradient must be the cluster average of P - <P^f>
-    grid = MomentumGrid.single_mode((1.0, 0.0, 0.0), vol=0.3)
+    grid = single_mode_grid((1.0, 0.0, 0.0), vol=0.3)
     basis = build_basis(grid, 1)
     model = FiberModel(grid=grid, basis=basis, form_factor=wide_ff)
     P = np.array([1.5, 0.0, 0.0])
@@ -125,7 +126,7 @@ def test_fh_gradient_averages_degenerate_cluster(wide_ff):
 
 
 def test_second_order_single_mode_closed_form(wide_ff):
-    grid = MomentumGrid.single_mode((0.0, 0.0, 0.8), vol=0.15)
+    grid = single_mode_grid((0.0, 0.0, 0.8), vol=0.15)
     P = np.array([0.0, 0.0, 0.4])
     gap = 0.5 * (0.4 - 0.8) ** 2 + 0.8 - 0.5 * 0.4**2
     expected = -0.15 * wide_ff.value(0.8) ** 2 / gap

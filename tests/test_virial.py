@@ -4,6 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from conftest import (
+    expect_field_momentum_sq,
+    index_of,
+    single_mode_grid,
+    vacuum_vector,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,13 +17,12 @@ from cerenkov_fiber.cli import _write_json
 from cerenkov_fiber.config import config_from_dict, make_model
 from cerenkov_fiber.fock import FockBasis, build_basis
 from cerenkov_fiber.formfactor import FormFactor
-from cerenkov_fiber.grids import AngularSpec, MomentumGrid, RadialSpec, build_grid
+from cerenkov_fiber.grids import AngularSpec, RadialSpec, build_grid
 from cerenkov_fiber.hamiltonian import (
     displacement_expectation,
     free_fiber_diagonal,
     interaction_coefficients,
 )
-from cerenkov_fiber.observables import expect_field_momentum_sq
 from cerenkov_fiber.spectra import FiberModel
 from cerenkov_fiber.virial import (
     DilationParameterError,
@@ -143,7 +148,7 @@ def test_kappa_validation():
 
 
 def test_vacuum_residual_zero(small_basis, default_ff):
-    vac = small_basis.vacuum_vector()
+    vac = vacuum_vector(small_basis)
     rep = virial_residual(
         vac, (0.5, 0, 0), 0.0, DilationSpec(kappa=math.inf), small_basis, default_ff
     )
@@ -151,10 +156,10 @@ def test_vacuum_residual_zero(small_basis, default_ff):
 
 
 def test_one_boson_state_residual_closed_form(default_ff):
-    grid = MomentumGrid.single_mode((0.0, 0.3, 0.4), vol=0.1)
+    grid = single_mode_grid((0.0, 0.3, 0.4), vol=0.1)
     basis = build_basis(grid, 1)
     one = np.zeros(basis.dimension)
-    one[basis.index_of((0,))] = 1.0
+    one[index_of(basis, (0,))] = 1.0
     P = np.array([0.2, 0.0, 0.6])
     rep = virial_residual(one, P, 0.0, DilationSpec(kappa=math.inf), basis, default_ff)
     k = np.array([0.0, 0.3, 0.4])
@@ -165,7 +170,7 @@ def test_one_boson_state_residual_closed_form(default_ff):
 def test_energy_identity_vacuum_zero(small_basis, default_ff):
     for P in ((0.5, 0, 0), (0, 0.2, 1.5)):
         rep = energy_identity_residual(
-            small_basis.vacuum_vector(), P, 0.0, small_basis, default_ff
+            vacuum_vector(small_basis), P, 0.0, small_basis, default_ff
         )
         assert rep.residual == 0.0
 
@@ -250,17 +255,17 @@ def test_residual_shrinks_with_solver_tolerance(small_model):
 def test_sector_vacuum_zero(small_basis, default_ff):
     cone = ConeSpec(Z, "forward", plateau_cos=0.8, support_cos=0.3)
     rep = sector_virial_residual(
-        small_basis.vacuum_vector(), (0, 0, 0.5), ShellSpec(1), cone, "parallel", 0.1,
+        vacuum_vector(small_basis), (0, 0, 0.5), ShellSpec(1), cone, "parallel", 0.1,
         small_basis, default_ff,
     )
     assert rep.residual == 0.0
 
 
 def test_sector_boson_outside_cone_support(default_ff):
-    grid = MomentumGrid.single_mode((0.0, 0.0, -0.6), vol=0.1)  # backward mode
+    grid = single_mode_grid((0.0, 0.0, -0.6), vol=0.1)  # backward mode
     basis = build_basis(grid, 1)
     one = np.zeros(basis.dimension)
-    one[basis.index_of((0,))] = 1.0
+    one[index_of(basis, (0,))] = 1.0
     cone = ConeSpec(Z, "forward", plateau_cos=0.8, support_cos=0.3)
     rep = sector_virial_residual(
         one, (0, 0, 1.0), ShellSpec(1), cone, "parallel", 0.0, basis, default_ff
@@ -271,10 +276,10 @@ def test_sector_boson_outside_cone_support(default_ff):
 
 def test_sector_perpendicular_axis_boson_weightless(default_ff):
     # |k| = 0.45 lies on the n = 2 plateau; k on the cone axis has k_perp = 0
-    grid = MomentumGrid.single_mode((0.0, 0.0, 0.45), vol=0.1)
+    grid = single_mode_grid((0.0, 0.0, 0.45), vol=0.1)
     basis = build_basis(grid, 1)
     one = np.zeros(basis.dimension)
-    one[basis.index_of((0,))] = 1.0
+    one[index_of(basis, (0,))] = 1.0
     cone = ConeSpec(Z, "forward", plateau_cos=0.8, support_cos=0.3)
     rep = sector_virial_residual(
         one, (0, 0, 1.0), ShellSpec(2), cone, "perpendicular", 0.0, basis, default_ff
