@@ -137,7 +137,6 @@ def _cmd_scan(args) -> int:
         n_shell_max=exp.n_shell_max,
         fd_step=exp.fd_step,
         curvature_step=exp.curvature_step,
-        pairs=cfg.pairs,
         fingerprint=cfg.fingerprint(),
     )
     csv_path = _out_path(args, "scan.csv")
@@ -170,7 +169,7 @@ def _cmd_virial(args) -> int:
     cfg = _load(args)
     model = make_model(cfg)
     P = _parse_vector(args.p)
-    result = model.lowest(P, args.g, count=cfg.pairs)
+    result = model.lowest(P, args.g)
     psi = result.ground_vector()
     eigen_residual = float(result.residual_norms[0])
     if args.sector:

@@ -9,17 +9,17 @@
   diagonal block, when the complement has at most `dense_cutoff` rows.
   Safeguarded Newton on the complement's lowest eigenvalue places a shift
   just below the ground energy and converges the ground pair on the way;
-  further pairs come from shift-invert Lanczos (ARPACK) at that shift;
+  further pairs come from block LOBPCG preconditioned by the exact inverse
+  (H - shift)^-1;
 - "lobpcg": block LOBPCG preconditioned by the inverse shifted diagonal
-  otherwise (Knyazev, SIAM J. Sci. Comput. 23 (2001) 517), which stops as
-  soon as the requested pairs converge.
+  otherwise (Knyazev, SIAM J. Sci. Comput. 23 (2001) 517).
 
+LOBPCG, on either path, stops as soon as the requested pairs converge.
 Every path verifies residual norms against the requested tolerance and fixes
 eigenvector signs for reproducible output files.  The iterative start vectors
 are deterministic for the same reason.  The Schur path also certifies, by
 Haynsworth inertia additivity, that no eigenvalue below the returned ones
-was missed, and restarts deflated against the pairs found while one was; the
-LOBPCG path carries no such certificate.
+was missed; the LOBPCG path carries no such certificate.
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 from scipy import sparse
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from cerenkov_fiber.hamiltonian import SparseHermitianOperator
 
@@ -52,10 +51,10 @@ SHIFT_MARGIN_SHARE = 1e-12
 # for the caller's residual check; bisection alone would by then have halved
 # the bracket to rounding
 SHIFT_MAX_FACTORIZATIONS = 64
-# LOBPCG preconditions with (diag H - sigma)^-1, sigma this far below
-# min(diag H), so it is positive definite.  On a dim-368k n_max = 3 fiber
-# the ground state took 19 iterations at 5e-2, 58 at 1e-3 and 44 with sigma
-# at the Gershgorin bound; four pairs took 31, 38 and 70
+# the "lobpcg" path preconditions with (diag H - sigma)^-1, sigma this far
+# below min(diag H), so it is positive definite.  On a dim-368k n_max = 3
+# fiber the ground state took 19 iterations at 5e-2, 58 at 1e-3 and 44 with
+# sigma at the Gershgorin bound; four pairs took 31, 38 and 70
 LOBPCG_SHIFT_OFFSET = 5e-2
 # block vectors beyond `count`: a level just above the last requested one
 # otherwise slows that vector's convergence.  Above threshold on a dim-12k
@@ -116,9 +115,16 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def _residuals(mat, vals, vecs):
-    res = mat @ vecs - vecs * vals[None, :]
-    return np.linalg.norm(res, axis=0)
+def _checked_residuals(mat, vals, vecs, tol) -> np.ndarray:
+    """Residual norms of the pairs; EigensolverError when one exceeds `tol`."""
+    res = np.linalg.norm(mat @ vecs - vecs * vals[None, :], axis=0)
+    if np.any(res > tol):
+        raise EigensolverError(
+            f"eigenpair residuals {res.max():.3e} exceed tolerance {tol:.1e}",
+            best_eigenvalues=vals,
+            best_residuals=res,
+        )
+    return res
 
 
 def trailing_diagonal_start(mat) -> int:
@@ -191,15 +197,6 @@ class SchurBlocks:
             factor, x[:t] - self.coupling @ y_top, check_finite=False
         )
         return np.concatenate([lead, y_top - top_inv * (self.coupling_t @ lead)])
-
-    def inverse(self, s: float, factor) -> LinearOperator:
-        """(H - s)^-1 as an operator, given a Cholesky factor of S(s)."""
-        dim = len(self.lead) + len(self.top)
-        return LinearOperator(
-            (dim, dim),
-            matvec=lambda x: self.solve(s, factor, np.ravel(x)),
-            dtype=float,
-        )
 
 
 def _negative_inertia(blocks: np.ndarray) -> int:
@@ -349,32 +346,6 @@ def _ground_by_newton(mat, blocks: SchurBlocks, tol: float):
     return lo, factor, vector, factorizations, steps
 
 
-def _arpack(mat, count, tol, maxiter, v0, **selection):
-    """ARPACK's `count` lowest pairs, sorted; failures become EigensolverError.
-
-    `selection` is `which` and, for shift-invert, `sigma` and `OPinv`.
-    """
-    try:
-        vals, vecs = eigsh(
-            mat, k=count, tol=tol * 1e-2, maxiter=maxiter, v0=v0, **selection
-        )
-    except ArpackNoConvergence as exc:
-        best_vals = np.asarray(exc.eigenvalues)
-        best_res = (
-            _residuals(mat, best_vals, exc.eigenvectors)
-            if exc.eigenvectors is not None and len(best_vals)
-            else None
-        )
-        raise EigensolverError(
-            f"Lanczos did not converge within the iteration budget "
-            f"({len(best_vals)} of {count} pairs converged)",
-            best_eigenvalues=best_vals,
-            best_residuals=best_res,
-        ) from exc
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order]
-
-
 def _start_block(diag: np.ndarray, block: int) -> np.ndarray:
     """Unit vectors on the lowest diagonal entries, as rows, plus noise.
 
@@ -428,20 +399,21 @@ def _orthonormal(rows, against=None):
     return rows
 
 
-def _lobpcg_pairs(mat, count, tol, maxiter):
+def _lobpcg_pairs(mat, count, tol, maxiter, precondition):
     """Lowest `count` pairs by block LOBPCG.
 
-    H_P is a free diagonal plus a coupling, so (diag H - sigma)^-1 is a good
-    preconditioner.  The start block is the unit vectors on the lowest
-    diagonal entries, perturbed by a fixed-seed random block.  Each step
-    takes the Rayleigh-Ritz pairs of span[X, P, W]: the block X, the
-    implicit direction P (the new Ritz vectors' part outside the old block)
-    and the preconditioned residuals W of X's unconverged vectors (Knyazev
-    2001; Hetmaniuk & Lehoucq, J. Comput. Phys. 218 (2006) 324).  All three
-    are kept orthonormal, P in the small Ritz coordinates, where it costs no
-    product with H.  Guard vectors beyond `count` speed up the last
-    requested ones, but the run stops as soon as those `count` meet the
-    inner tolerance.  A run that misses it returns its last iterate, whose
+    `precondition` maps a block of residuals, one per row, to search
+    directions, and may overwrite it.  The start block is the unit vectors
+    on the lowest diagonal entries, perturbed by a fixed-seed random block.
+    Each step takes the Rayleigh-Ritz pairs of span[X, P, W]: the block X,
+    the implicit direction P (the new Ritz vectors' part outside the old
+    block) and the preconditioned residuals W of X's unconverged vectors
+    (Knyazev 2001; Hetmaniuk & Lehoucq, J. Comput. Phys. 218 (2006) 324).
+    All three are kept orthonormal, P in the small Ritz coordinates, where
+    it costs no product with H.  Guard vectors beyond `count` speed up the
+    last requested ones, but the run stops as soon as those `count` meet
+    the inner tolerance, or after `maxiter` steps (LOBPCG_MAXITER when
+    None).  A run that misses the tolerance returns its last iterate, whose
     residuals the caller checks.
 
     H is so sparse that the dense block operations, not the products with
@@ -454,7 +426,6 @@ def _lobpcg_pairs(mat, count, tol, maxiter):
     inner = tol * 1e-2
     limit = LOBPCG_MAXITER if maxiter is None else maxiter
     diag = mat.diagonal()
-    scale = 1.0 / (diag - (diag.min() - LOBPCG_SHIFT_OFFSET))
     span = np.empty((3 * block, dim))
     image = np.empty_like(span)
     span[:block] = _orthonormal(_start_block(diag, block))
@@ -480,8 +451,7 @@ def _lobpcg_pairs(mat, count, tol, maxiter):
         if np.all(norms[:count] <= inner) or iterations == limit:
             break
         active = residual if np.all(norms > inner) else residual[norms > inner]
-        active *= scale
-        w = _orthonormal(active, span[:kept])
+        w = _orthonormal(precondition(active), span[:kept])
         if len(w) == 0:  # nothing left to search: the run has stalled
             break
         iterations += 1
@@ -493,7 +463,6 @@ def _lobpcg_pairs(mat, count, tol, maxiter):
         "iterations": iterations,
         "block": block,
         "start_vector": "lowest_diagonal_perturbed",
-        "certified": False,
     }
     return vals[:count], span[:count].T.copy(), diagnostics
 
@@ -506,7 +475,8 @@ def _inertia_counts(blocks: SchurBlocks, vals: np.ndarray, tol: float) -> dict:
     exactly len(vals) proves the returned values are the lowest.  A larger
     count is accepted only when the extra levels tie with the highest
     returned one (a symmetry multiplet cut by `count`).  "missed" counts the
-    eigenvalues below vals[-1] - 2 tol that are not among `vals`.
+    eigenvalues below vals[-1] - 2 tol that are not among `vals`, and
+    "certified" holds when the count proves the returned values lowest.
     """
     eta = 2.0 * tol
     tau = float(vals[-1]) + eta
@@ -522,15 +492,14 @@ def _inertia_counts(blocks: SchurBlocks, vals: np.ndarray, tol: float) -> dict:
         found = sum(blocks.count_below(below))
         record["count_below_top_tie"] = found
         record["missed"] = found - int(np.count_nonzero(vals < below))
+    record["certified"] = top + inertia >= len(vals) and record["missed"] == 0
     return record
 
 
-def _certify(blocks: SchurBlocks, vals: np.ndarray, tol: float, record=None) -> dict:
-    """Prove that no eigenvalue below the returned ones was missed, or raise."""
-    if record is None:
-        record = _inertia_counts(blocks, vals, tol)
-    count = record["count_top_block"] + record["count_schur"]
-    if count < len(vals) or record["missed"] != 0:
+def _certify(vals: np.ndarray, record: dict) -> dict:
+    """Raise unless the inertia record proves `vals` the lowest levels."""
+    if not record["certified"]:
+        count = record["count_top_block"] + record["count_schur"]
         raise EigensolverError(
             f"inertia certificate failed: {count} eigenvalues below "
             f"{record['certificate_tau']:.12e} for {len(vals)} pairs, "
@@ -540,79 +509,47 @@ def _certify(blocks: SchurBlocks, vals: np.ndarray, tol: float, record=None) -> 
     return record
 
 
-def _project_out(found: np.ndarray, x) -> np.ndarray:
-    x = np.ravel(x)
-    return x - found @ (found.T @ x)
-
-
-def _deflated(inverse: LinearOperator, found: np.ndarray) -> LinearOperator:
-    """The operator restricted to the orthogonal complement of `found`."""
-    return LinearOperator(
-        inverse.shape,
-        matvec=lambda x: _project_out(found, inverse @ _project_out(found, x)),
-        dtype=float,
-    )
-
-
 def _schur_pairs(mat, t: int, count, tol, maxiter):
     """Lowest `count` pairs through the Schur complement.
 
     Safeguarded Newton (`_ground_by_newton`) places the shift just below the
-    ground energy and converges the ground vector on the way.  For `count` =
-    1 one step of inverse iteration at that shift polishes it, and no
-    Lanczos run is needed; more pairs come from shift-invert Lanczos
-    (ARPACK) at the shift.  Either way the inertia certificate checks the
-    result.  Single-vector Lanczos sees one vector per distinct eigenvalue,
-    and the uniform start none outside the fully symmetric sector, so on
-    grids with azimuthal symmetry it can skip a level.  The inertia count
-    shows how many were skipped; each restart then runs on (H - s)^-1
-    deflated against the pairs found, from a fixed-seed random start, which
-    finds at least the lowest skipped level.
+    ground energy and converges the ground vector on the way; for `count` =
+    1 one step of inverse iteration at the shift polishes it.  More pairs,
+    or one pair whose inertia count shows a missed lower level, come from
+    LOBPCG preconditioned by the exact, positive definite (H - shift)^-1.
+    Its start block seeds every symmetry sector, so it finds multiplet
+    partners, and a ground level that the shift search cannot see: a
+    top-block state without coupling, where mu has no root below min D.
+    The inertia certificate checks the final pairs.
     """
-    dim = mat.shape[0]
     blocks = SchurBlocks(mat, t)
     shift, factor, vector, factorizations, steps = _ground_by_newton(
         mat, blocks, tol
     )
-    inverse = blocks.inverse(shift, factor)
-    if count == 1:
-        # the value is the shift-invert Rayleigh quotient, as in ARPACK
-        image = blocks.solve(shift, factor, vector)
-        vals = np.array([shift + 1.0 / (vector @ image)])
-        vecs = (image / np.linalg.norm(image))[:, None]
-    else:
-        v0 = np.full(dim, 1.0 / np.sqrt(dim))
-        vals, vecs = _arpack(
-            mat, count, tol, maxiter, v0, sigma=shift, which="LM", OPinv=inverse
-        )
-    restarts = 0
-    rng = np.random.default_rng(0)
-    record = _inertia_counts(blocks, vals, tol)
-    while record["missed"] > 0 and restarts < count:
-        restarts += 1
-        more_vals, more_vecs = _arpack(
-            mat,
-            min(record["missed"], count),
-            tol,
-            maxiter,
-            _project_out(vecs, rng.standard_normal(dim)),
-            sigma=shift,
-            which="LM",
-            OPinv=_deflated(inverse, vecs),
-        )
-        vals = np.concatenate([vals, more_vals])
-        vecs = np.hstack([vecs, more_vecs])
-        order = np.argsort(vals, kind="stable")[:count]
-        vals, vecs = vals[order], vecs[:, order]
-        record = _inertia_counts(blocks, vals, tol)
     diagnostics = {
         "schur_size": t,
         "shift": shift,
         "factorizations": factorizations,
         "inverse_steps": steps,
-        "deflated_restarts": restarts,
+        "iterations": 0,
     }
-    diagnostics.update(_certify(blocks, vals, tol, record))
+    if count == 1:
+        # the value is the shift-invert Rayleigh quotient
+        image = blocks.solve(shift, factor, vector)
+        vals = np.array([shift + 1.0 / (vector @ image)])
+        vecs = (image / np.linalg.norm(image))[:, None]
+        record = _inertia_counts(blocks, vals, tol)
+    if count > 1 or not record["certified"]:
+
+        def precondition(rows):
+            return np.ascontiguousarray(blocks.solve(shift, factor, rows.T).T)
+
+        vals, vecs, run = _lobpcg_pairs(mat, count, tol, maxiter, precondition)
+        diagnostics.update(run)
+        # a run stopped by `maxiter` fails here, not in the certificate
+        _checked_residuals(mat, vals, vecs, tol)
+        record = _inertia_counts(blocks, vals, tol)
+    diagnostics.update(_certify(vals, record))
     return vals, vecs, diagnostics
 
 
@@ -631,9 +568,9 @@ def lowest_eigenpairs(
     larger t "lobpcg".  `count` equal to a dimension above `dense_cutoff`
     raises ValueError.  Raises :class:`EigensolverError` when an iterative
     path fails to reach the tolerance, carrying the best residuals, or when
-    the Schur path's inertia certificate fails.  `maxiter` None means
-    ARPACK's default on the Schur path and LOBPCG_MAXITER on the LOBPCG
-    path.
+    the Schur path's inertia certificate fails.  `maxiter` bounds the
+    LOBPCG steps on both iterative paths (LOBPCG_MAXITER when None); a
+    one-pair Schur result that the certificate accepts takes none.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -670,18 +607,17 @@ def lowest_eigenpairs(
         diagnostics.update(path_diagnostics)
         used = "schur"
     else:
-        vals, vecs, path_diagnostics = _lobpcg_pairs(mat, count, tol, maxiter)
-        diagnostics.update(path_diagnostics)
+        # H_P is a free diagonal plus a coupling: (diag H - sigma)^-1
+        diag = mat.diagonal()
+        scale = 1.0 / (diag - (diag.min() - LOBPCG_SHIFT_OFFSET))
+        vals, vecs, path_diagnostics = _lobpcg_pairs(
+            mat, count, tol, maxiter, lambda w: np.multiply(w, scale, out=w)
+        )
+        diagnostics.update(path_diagnostics, certified=False)
         used = "lobpcg"
 
     vecs = _fix_signs(np.asarray(vecs))
-    res = _residuals(mat, vals, vecs)
-    if np.any(res > tol):
-        raise EigensolverError(
-            f"eigenpair residuals {res.max():.3e} exceed tolerance {tol:.1e}",
-            best_eigenvalues=vals,
-            best_residuals=res,
-        )
+    res = _checked_residuals(mat, vals, vecs, tol)
     return SpectralResult(
         eigenvalues=np.asarray(vals, dtype=float),
         eigenvectors=vecs,

@@ -249,15 +249,16 @@ def mass_shell_scan(
     n_shell_max: int = 3,
     fd_step: float = 1e-3,
     curvature_step: float = 1e-2,
-    pairs: int = 4,
     fingerprint: str | None = None,
 ) -> MassShellScan:
     """Dispersion scan over |P| in [p_min, p_max] with shared grid/basis.
 
     Each point reports the ground pair, both gradient estimates, the FD
     curvature, shell-restricted boson numbers for n = 1..n_shell_max, and the
-    vacuum overlap.  Solver failures mark the row `failed` and the scan
-    continues.
+    vacuum overlap.  All five solves of a point ask for the ground pair
+    only: for g != 0 and a coupling that reaches every mode the ground level
+    is simple (Perron-Frobenius, after a sign change of the odd-boson-number
+    states).  Solver failures mark the row `failed` and the scan continues.
     """
     if not 0.0 < p_min <= p_max <= P_MAGNITUDE_BUDGET:
         raise ValueError(
@@ -279,7 +280,7 @@ def mass_shell_scan(
         row = ScanRow(p=float(p_mag))
         try:
             P = model.on_axis(p_mag)
-            result = model.lowest(P, g, count=pairs)
+            result = model.lowest(P, g)
             row.e0 = result.ground_energy
             psi = result.ground_vector()
             grad = fh_gradient(result, P, model.basis)

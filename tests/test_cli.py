@@ -205,33 +205,70 @@ def test_scan_and_virial_on_symmetric_grid(tmp_path):
 def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
     # scipy.integrate pulls in scipy.optimize, a slow import; neither the
     # package import nor a golden-rule rate (overlap's automatic window, here
-    # on the Gauss path of the overlap_interior benchmark config) needs it
+    # on the Gauss path of the overlap_interior benchmark config) needs it.
+    # No command runs ARPACK either, so scipy.sparse.linalg stays unloaded
+    # through scan, virial and a multi-pair solve on the Schur path
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"radial_count": 10, "polar_count": 7}))
-    common = ["--config", str(config), "--out", str(tmp_path), "--p", "1.5,0,0"]
+    common = ["--config", str(config), "--out", str(tmp_path)]
+    at = ["--p", "1.5,0,0"]
+    commands = [
+        [],
+        ["overlap", "--g", "0.05"] + at,
+        ["golden-rule", "--g", "0.1"] + at,
+        ["scan", "--pmin", "1.1", "--pmax", "1.5", "--steps", "2", "--g", "0.05"],
+        ["spectrum", "--g", "0.05", "--pairs", "4"] + at,
+        ["virial", "--g", "0.05"] + at,
+    ]
     code = (
         "import json, sys\n"
         "from cerenkov_fiber.cli import main\n"
-        "common = json.loads(sys.argv[1])\n"
+        "common, commands = json.loads(sys.argv[1]), json.loads(sys.argv[2])\n"
         "loaded = []\n"
-        "for args in ([], ['overlap', '--g', '0.05'], ['golden-rule', '--g', '0.1']):\n"
+        "for args in commands:\n"
         "    assert not args or main(args + common) == 0\n"
-        "    loaded.append([m for m in ('scipy.integrate', 'scipy.optimize')"
-        " if m in sys.modules])\n"
+        "    loaded.append([m for m in ('scipy.integrate', 'scipy.optimize',"
+        " 'scipy.sparse.linalg') if m in sys.modules])\n"
         "print(json.dumps(loaded))\n"
     )
     src = os.path.dirname(os.path.dirname(spectra.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
-        [sys.executable, "-c", code, json.dumps(common)],
+        [sys.executable, "-c", code, json.dumps(common), json.dumps(commands)],
         capture_output=True,
         text=True,
         check=True,
         env=env,
     )
-    assert json.loads(out.stdout.strip().split("\n")[-1]) == [[], [], []]
+    assert json.loads(out.stdout.strip().split("\n")[-1]) == [[]] * len(commands)
+    assert json.loads((tmp_path / "spectrum.json").read_text())["method"] == "schur"
     assert "# rows=gauss_nodes" in (tmp_path / "overlap.csv").read_text()
     assert json.loads((tmp_path / "golden_rule.json").read_text())["rate"] > 0.0
+
+
+def test_scan_and_virial_solve_for_the_ground_pair_only(tmp_path, monkeypatch):
+    # every quantity of a scan row and of virial reads the ground pair, so no
+    # solve asks for `pairs` (here 4) eigenpairs
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {"radial_count": 6, "polar_count": 3, "experiment": {"dense_cutoff": 50}}
+    ))
+    counts = []
+    true_solve = spectra.lowest_eigenpairs
+
+    def recorded(op, count, **kwargs):
+        result = true_solve(op, count, **kwargs)
+        counts.append((count, result.method))
+        return result
+
+    monkeypatch.setattr(spectra, "lowest_eigenpairs", recorded)
+    common = ["--config", str(config), "--out", str(tmp_path), "--g", "0.05"]
+    scan = ["scan", "--pmin", "0.5", "--pmax", "1.5", "--steps", "2"]
+    assert run(scan + common) == 0
+    assert len(counts) == 10  # five solves per row
+    assert run(["virial", "--p", "1.5,0,0"] + common) == 0
+    assert run(["virial", "--p", "0.5,0,0", "--sector", "1,forward"] + common) == 0
+    assert counts == [(1, "schur")] * 12
 
 
 @pytest.mark.parametrize("command", ["golden-rule", "overlap"])

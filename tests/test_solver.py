@@ -15,6 +15,7 @@ from cerenkov_fiber.solver import (
     EigensolverError,
     SchurBlocks,
     _certify,
+    _inertia_counts,
     lowest_eigenpairs,
     trailing_diagonal_start,
 )
@@ -74,8 +75,9 @@ def test_dense_and_iterative_agree_on_random_symmetric():
 
 
 def test_schur_recovers_multiplet_partners_on_symmetric_grid():
-    # four azimuthal nodes: single-vector Lanczos from the uniform start
-    # finds one vector of each doublet, and the deflated restarts the rest
+    # four azimuthal nodes: off the axis the levels come in doublets, and a
+    # start with no component outside the fully symmetric sector finds one
+    # vector of each; the LOBPCG start block seeds every sector
     model = make_model(
         RunConfig(radial_count=6, polar_count=3, azimuthal_count=4).validate()
     )
@@ -84,7 +86,6 @@ def test_schur_recovers_multiplet_partners_on_symmetric_grid():
     for count in (4, 8):
         res = lowest_eigenpairs(h, count, tol=1e-9)
         assert res.method == "schur"
-        assert res.diagnostics["deflated_restarts"] >= 1
         assert res.eigenvalues == pytest.approx(exact[:count], abs=1e-10)
         gram = res.eigenvectors.T @ res.eigenvectors
         assert gram == pytest.approx(np.eye(count), abs=1e-8)
@@ -149,22 +150,44 @@ def test_certificate_mismatch_raises(monkeypatch, count):
         lowest_eigenpairs(mat, count, tol=1e-9, dense_cutoff=100)
 
 
-def test_schur_ground_pair_without_lanczos(monkeypatch):
+def test_schur_ground_pair_without_lobpcg(monkeypatch):
     # Newton places the shift in a few factorizations (bisection took 21),
-    # and one pair needs no ARPACK run at all
+    # and one pair needs no LOBPCG run at all
     model = make_model(RunConfig().validate())
 
-    def no_lanczos(*args, **kwargs):
-        raise AssertionError("eigsh called for a single pair")
+    def no_lobpcg(*args, **kwargs):
+        raise AssertionError("LOBPCG run for a single pair")
 
-    monkeypatch.setattr(solver, "eigsh", no_lanczos)
+    monkeypatch.setattr(solver, "_lobpcg_pairs", no_lobpcg)
     for p_mag in (0.5, 1.1, 1.3, 1.5, 1.9):
         h = model.hamiltonian(model.on_axis(p_mag), 0.05).matrix
         res = lowest_eigenpairs(h, 1, tol=1e-9)
         assert res.method == "schur"
         assert res.diagnostics["factorizations"] <= 7
+        assert res.diagnostics["iterations"] == 0
         assert res.diagnostics["shift"] < res.eigenvalues[0]
         assert res.residual_norms[0] <= 1e-12
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_schur_finds_an_uncoupled_ground_level(count):
+    # a top-block state with a zero coupling column lies below every coupled
+    # level: mu(s) has no root below min D, so the shift search cannot see
+    # it, and the certificate counts it as missed; the LOBPCG run that
+    # follows, preconditioned at the shift just below it, finds it
+    sym = random_with_trailing_diagonal(t=60)
+    coupled = scipy.linalg.eigvalsh(np.delete(np.delete(sym, 150, 0), 150, 1))
+    sym[150, :] = sym[:, 150] = 0.0
+    sym[150, 150] = coupled[0] - 0.5
+    mat = sparse.csr_matrix(sym)
+    exact = scipy.linalg.eigvalsh(sym, subset_by_index=(0, count - 1))
+    assert exact[0] == pytest.approx(sym[150, 150], abs=1e-12)
+    res = lowest_eigenpairs(mat, count, tol=1e-9, dense_cutoff=100)
+    assert res.method == "schur"
+    assert res.eigenvalues == pytest.approx(exact, abs=1e-10)
+    assert abs(res.eigenvectors[150, 0]) == pytest.approx(1.0, abs=1e-10)
+    assert res.diagnostics["iterations"] >= 1
+    assert res.diagnostics["certified"] is True
 
 
 def test_certificate_accepts_a_cut_multiplet_and_rejects_a_gap():
@@ -177,10 +200,11 @@ def test_certificate_accepts_a_cut_multiplet_and_rejects_a_gap():
     cut = 1 + int(np.argmax(np.diff(exact) < 1e-12))  # exact[cut] ties exact[cut - 1]
     assert cut > 1 and exact[cut] - exact[cut - 1] < 1e-12
     blocks = SchurBlocks(h, trailing_diagonal_start(h))
-    record = _certify(blocks, exact[:cut], 1e-9)
+    record = _certify(exact[:cut], _inertia_counts(blocks, exact[:cut], 1e-9))
     assert record["count_top_block"] + record["count_schur"] == cut + 1
+    missed = exact[1 : cut + 1]  # the ground level missed
     with pytest.raises(EigensolverError, match="certificate"):
-        _certify(blocks, exact[1 : cut + 1], 1e-9)  # the ground level missed
+        _certify(missed, _inertia_counts(blocks, missed, 1e-9))
 
 
 @settings(max_examples=25, deadline=None)
@@ -256,14 +280,37 @@ def test_residuals_verified(small_model):
         assert res.residual_norms[j] == pytest.approx(r, abs=1e-12)
 
 
-def test_nonconvergence_raises_with_partials():
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(400, 400))
-    sym = sparse.csr_matrix((a + a.T) / 2.0)
-    with pytest.raises(EigensolverError) as err:
-        lowest_eigenpairs(sym, 6, tol=1e-13, maxiter=2, dense_cutoff=0)
-    # the error carries whatever converged, possibly nothing
+@pytest.mark.parametrize(
+    "sym, dense_cutoff, method",
+    [
+        # no diagonal block (t = dim)
+        (random_with_trailing_diagonal(dim=400, t=400, seed=0), 0, "lobpcg"),
+        # the Schur path with the cutoff at the block: its LOBPCG run for
+        # more than one pair takes the same budget
+        (random_with_trailing_diagonal(dim=400, t=120, seed=0), 120, "schur"),
+    ],
+    ids=["lobpcg", "schur"],
+)
+def test_nonconvergence_raises_with_partials(monkeypatch, sym, dense_cutoff, method):
+    mat = sparse.csr_matrix(sym)
+    runs = []
+    true_run = solver._lobpcg_pairs
+
+    def counted(*args, **kwargs):
+        runs.append(args[3])  # maxiter
+        return true_run(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_lobpcg_pairs", counted)
+    # the budget, not the certificate, fails the run, and the error carries
+    # the pairs reached
+    with pytest.raises(EigensolverError, match="residuals") as err:
+        lowest_eigenpairs(mat, 6, tol=1e-13, maxiter=2, dense_cutoff=dense_cutoff)
+    assert runs == [2]
     assert err.value.best_eigenvalues is not None
+    assert err.value.best_residuals is not None
+    converged = lowest_eigenpairs(mat, 6, tol=1e-9, dense_cutoff=dense_cutoff)
+    assert converged.method == method
+    assert converged.diagnostics["iterations"] > 2
 
 
 def test_count_validation():

@@ -12,6 +12,7 @@ from cerenkov_fiber.fock import build_basis
 from cerenkov_fiber.formfactor import FormFactor
 from cerenkov_fiber.grids import AngularSpec, RadialSpec, build_grid
 from cerenkov_fiber.hamiltonian import free_fiber_diagonal
+from cerenkov_fiber.solver import SchurBlocks
 from cerenkov_fiber.spectra import (
     DEGENERACY_TOL,
     LANCZOS_MEMORY_BUDGET,
@@ -72,11 +73,19 @@ def test_free_slope_above_threshold_near_unity(scan_model):
     assert abs(fd - 1.0) <= tol
 
 
-def test_scan_marks_failed_points_and_continues():
+def test_scan_marks_failed_points_and_continues(monkeypatch):
     grid = build_grid(RadialSpec(0.05, 1.0, 10, "geometric"), AngularSpec(6, 1))
     basis = build_basis(grid, 2)
     # dim 1,891 with a Schur block of 61: a cutoff of 10 forces LOBPCG, 100
-    # the Schur path, so the iteration budget can fail on either
+    # the Schur path.  The iteration budget fails LOBPCG; a one-pair Schur
+    # solve runs no iterations, so an inertia count that reports one level
+    # too many fails its certificate
+    true_count = SchurBlocks.count_below
+
+    def one_more(self, s):
+        top, inertia = true_count(self, s)
+        return top, inertia + 1
+
     for dense_cutoff, method in ((10, "lobpcg"), (100, "schur")):
         model = FiberModel(
             grid=grid,
@@ -85,9 +94,13 @@ def test_scan_marks_failed_points_and_continues():
             solver_tol=1e-14,
             dense_cutoff=dense_cutoff,
         )
-        assert model.lowest(model.on_axis(0.3), 0.05, count=4).method == method
-        model.solver_maxiter = 1
-        scan = mass_shell_scan(model, 0.3, 0.7, 3, g=0.05)
+        assert model.lowest(model.on_axis(0.3), 0.05).method == method
+        with monkeypatch.context() as patch:
+            if method == "lobpcg":
+                model.solver_maxiter = 1
+            else:
+                patch.setattr(SchurBlocks, "count_below", one_more)
+            scan = mass_shell_scan(model, 0.3, 0.7, 3, g=0.05)
         assert len(scan.rows) == 3
         assert all(row.status == "failed" for row in scan.rows)
         assert all(math.isnan(row.e0) for row in scan.rows)
