@@ -250,13 +250,17 @@ def _cmd_golden_rule(args) -> int:
 
 
 def _cmd_trial_scaling(args) -> int:
+    if args.points < 1:
+        raise UsageError(f"--points must be >= 1, got {args.points}")
+    if not (0 < args.eps_min < args.eps_max < math.inf):
+        raise UsageError(
+            f"need finite 0 < eps-min < eps-max, got {args.eps_min} and {args.eps_max}"
+        )
     cfg = _load(args)
     model = make_model(cfg)
     P = _parse_vector(args.p)
     p_mag = float(np.linalg.norm(P))
     energy = args.e if args.e is not None else 0.5 * p_mag * p_mag
-    if args.eps_min <= 0 or args.eps_max <= args.eps_min:
-        raise UsageError("need 0 < eps-min < eps-max")
     epsilons = np.geomspace(args.eps_min, args.eps_max, args.points)
     rows = cerenkov.trial_scaling(
         P, energy, model.grid, model.basis, model.form_factor, args.g, epsilons

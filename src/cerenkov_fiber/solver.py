@@ -58,9 +58,11 @@ SHIFT_MAX_FACTORIZATIONS = 64
 LOBPCG_SHIFT_OFFSET = 5e-2
 # block vectors beyond `count`: a level just above the last requested one
 # otherwise slows that vector's convergence.  Above threshold on a dim-12k
-# n_max = 3 fiber the ground state alone took 1000 iterations, with two
-# guards 202; below threshold on the dim-368k fiber 20 and 19, where the
-# guards triple the cost of a step
+# n_max = 3 fiber (10 geometric radial x 4 polar nodes, |P| = 1.5,
+# g = 0.05) the ground state alone missed the tolerance in 1000 iterations,
+# with two guards it took 201.  Below threshold on the dim-368k fiber it
+# took 18 and 17, where the guards triple the cost of a step, so
+# `_lobpcg_pairs` sheds them once the gap above the requested levels is wide
 LOBPCG_GUARDS = 2
 # a direction whose Gram eigenvalue is below this share of the largest is
 # dependent on the others and left out of the LOBPCG search space
@@ -346,6 +348,20 @@ def _ground_by_newton(mat, blocks: SchurBlocks, tol: float):
     return lo, factor, vector, factorizations, steps
 
 
+def _lowest(diag: np.ndarray, count: int) -> list:
+    """np.argsort(diag, kind="stable")[:count] by `count` argmin passes.
+
+    1.3 ms against 48 ms on the 368k `virial_large` diagonal; np.partition
+    is as fast but pages in 0.3 MB more code.
+    """
+    rest = np.array(diag, dtype=float)
+    order = []
+    for _ in range(count):
+        order.append(int(np.argmin(rest)))
+        rest[order[-1]] = np.inf
+    return order
+
+
 def _start_block(diag: np.ndarray, block: int) -> np.ndarray:
     """Unit vectors on the lowest diagonal entries, as rows, plus noise.
 
@@ -354,7 +370,7 @@ def _start_block(diag: np.ndarray, block: int) -> np.ndarray:
     start = LOBPCG_START_NOISE * np.random.default_rng(0).standard_normal(
         (block, len(diag))
     )
-    start[np.arange(block), np.argsort(diag, kind="stable")[:block]] += 1.0
+    start[np.arange(block), _lowest(diag, block)] += 1.0
     return start
 
 
@@ -367,16 +383,21 @@ def _orthonormal(rows, against=None):
     """Orthonormal basis, as rows, of the part of `rows` orthogonal to `against`.
 
     Vectors are rows here, contiguous in memory; `against` has orthonormal
-    rows, and `rows` is overwritten.  Two rounds of projection and SVQB
-    (Stathopoulos & Wu, SIAM J. Sci. Comput. 23 (2002) 2165): the Gram
-    matrix scaled to unit diagonal is diagonalized, and the rows are mapped
-    onto its eigenvectors over the roots of its eigenvalues in one pass.
-    Directions whose eigenvalue is below LOBPCG_DROP of the largest are
-    dropped as linearly dependent, so the result may have fewer rows.  One
-    round is not enough: the loss of orthogonality it leaves gave levels
-    wrong by up to 1.0 on small fiber models.
+    rows, and `rows` is overwritten.  A round of projection and SVQB
+    (Stathopoulos & Wu, SIAM J. Sci. Comput. 23 (2002) 2165) diagonalizes
+    the Gram matrix scaled to unit diagonal and maps the rows onto its
+    eigenvectors over the roots of its eigenvalues in one pass.  Directions
+    whose eigenvalue is below LOBPCG_DROP of the largest are dropped as
+    linearly dependent, so the result may have fewer rows.  A second round
+    follows, as in the DGKS test (Daniel, Gragg, Kaufman & Stewart, Math.
+    Comp. 30 (1976) 772), when the projection cancelled more than half of
+    a row's norm, a direction was dropped, or the scaled Gram matrix had an
+    eigenvalue below 1/2; one round always left levels wrong by up to 1.0
+    on small fiber models.
+
+    Returns the rows and the number of rounds taken.
     """
-    for _ in range(2):
+    for rounds in (1, 2):
         coef = None if against is None else rows @ against.T
         gram = np.zeros((len(rows), len(rows)))
         for cols in _column_chunks(rows.shape[1]):
@@ -384,7 +405,13 @@ def _orthonormal(rows, against=None):
             if coef is not None:
                 chunk -= coef @ against[:, cols]
             gram += chunk @ chunk.T
-        norms = np.sqrt(np.diagonal(gram))
+        squares = np.diagonal(gram)
+        # against is orthonormal: a row's squared norm before the projection
+        # is its squared norm after it plus the squared norm of its coef row
+        cancelled = coef is not None and np.any(
+            4.0 * squares < squares + np.einsum("ij,ij->i", coef, coef)
+        )
+        norms = np.sqrt(squares)
         live = norms > 0.0
         if not live.all():
             rows, gram, norms = rows[live], gram[np.ix_(live, live)], norms[live]
@@ -396,14 +423,17 @@ def _orthonormal(rows, against=None):
         for cols in _column_chunks(rows.shape[1]):
             rows[: len(transform), cols] = transform @ rows[:, cols]
         rows = rows[: len(transform)]
-    return rows
+        if not cancelled and live.all() and keep.all() and lam[0] >= 0.5:
+            break
+    return rows, rounds
 
 
-def _lobpcg_pairs(mat, count, tol, maxiter, precondition):
+def _lobpcg_pairs(mat, count, tol, maxiter, precondition, pole):
     """Lowest `count` pairs by block LOBPCG.
 
     `precondition` maps a block of residuals, one per row, to search
-    directions, and may overwrite it.  The start block is the unit vectors
+    directions, and may overwrite it; `pole` is the shift sigma at which it
+    approximates (H - sigma)^-1.  The start block is the unit vectors
     on the lowest diagonal entries, perturbed by a fixed-seed random block.
     Each step takes the Rayleigh-Ritz pairs of span[X, P, W]: the block X,
     the implicit direction P (the new Ritz vectors' part outside the old
@@ -415,6 +445,14 @@ def _lobpcg_pairs(mat, count, tol, maxiter, precondition):
     the inner tolerance, or after `maxiter` steps (LOBPCG_MAXITER when
     None).  A run that misses the tolerance returns its last iterate, whose
     residuals the caller checks.
+
+    The guards are shed for the rest of the run once, at two consecutive
+    steps, `pole` lies below every Ritz value theta and
+    (theta_{count-1} - pole) < (theta_count - pole) / 2: by the
+    Knyazev-Neymeyr bound (Linear Algebra Appl. 358 (2003) 95) a guard then
+    buys little.  After one step the requested vectors may have reached
+    their levels before the guards, which made multiplets cut by `count`
+    look gapped.
 
     H is so sparse that the dense block operations, not the products with
     H, set the cost of a step.  So the search space and its image under H
@@ -428,30 +466,46 @@ def _lobpcg_pairs(mat, count, tol, maxiter, precondition):
     diag = mat.diagonal()
     span = np.empty((3 * block, dim))
     image = np.empty_like(span)
-    span[:block] = _orthonormal(_start_block(diag, block))
-    used = block  # rows of span in the search space
+    span[:block], rounds = _orthonormal(_start_block(diag, block))
+    width = used = block  # rows of X; rows of span in the search space
     residual = np.empty((block, dim))
     for i in range(block):
         image[i] = mat @ span[i]
     iterations = 0
+    dropped_at = None
+    gapped = False  # the gap test held at the previous step
     while True:
         small = span[:used] @ image[:used].T
-        vals, coef = scipy.linalg.eigh(0.5 * (small + small.T))
-        vals, ritz = vals[:block], coef[:, :block].T
+        # divide and conquer: inside a tight cluster of levels MRRR, the
+        # default, returned Ritz vectors orthonormal only to 3e-12
+        vals, coef = scipy.linalg.eigh(0.5 * (small + small.T), driver="evd")
+        old = width
+        if width > count:
+            confirmed = gapped
+            gapped = pole < vals[0] and 2.0 * (vals[count - 1] - pole) < (
+                vals[count] - pole
+            )
+            if gapped and confirmed:
+                width, dropped_at = count, iterations
+                residual = residual[:count]
+        vals, ritz = vals[:width], coef[:, :width].T
         step = ritz.copy()
-        step[:, :block] = 0.0  # the first `block` coordinates are the old X
-        new = np.vstack([ritz, _orthonormal(step, ritz)])
+        step[:, :old] = 0.0  # the first `old` coordinates are the old X
+        directions, taken = _orthonormal(step, ritz)
+        rounds += taken
+        new = np.vstack([ritz, directions])
         kept = len(new)
         for cols in _column_chunks(dim):
             span[:kept, cols] = new @ span[:used, cols]
             image[:kept, cols] = new @ image[:used, cols]
-            np.multiply(span[:block, cols], -vals[:, None], out=residual[:, cols])
-            residual[:, cols] += image[:block, cols]
+            np.multiply(span[:width, cols], -vals[:, None], out=residual[:, cols])
+            residual[:, cols] += image[:width, cols]
         norms = np.sqrt(np.einsum("ij,ij->i", residual, residual))
         if np.all(norms[:count] <= inner) or iterations == limit:
             break
         active = residual if np.all(norms > inner) else residual[norms > inner]
-        w = _orthonormal(precondition(active), span[:kept])
+        w, taken = _orthonormal(precondition(active), span[:kept])
+        rounds += taken
         if len(w) == 0:  # nothing left to search: the run has stalled
             break
         iterations += 1
@@ -462,6 +516,8 @@ def _lobpcg_pairs(mat, count, tol, maxiter, precondition):
     diagnostics = {
         "iterations": iterations,
         "block": block,
+        "guards_dropped_at": dropped_at,
+        "orthonormalization_rounds": rounds,
         "start_vector": "lowest_diagonal_perturbed",
     }
     return vals[:count], span[:count].T.copy(), diagnostics
@@ -544,7 +600,9 @@ def _schur_pairs(mat, t: int, count, tol, maxiter):
         def precondition(rows):
             return np.ascontiguousarray(blocks.solve(shift, factor, rows.T).T)
 
-        vals, vecs, run = _lobpcg_pairs(mat, count, tol, maxiter, precondition)
+        vals, vecs, run = _lobpcg_pairs(
+            mat, count, tol, maxiter, precondition, shift
+        )
         diagnostics.update(run)
         # a run stopped by `maxiter` fails here, not in the certificate
         _checked_residuals(mat, vals, vecs, tol)
@@ -609,9 +667,10 @@ def lowest_eigenpairs(
     else:
         # H_P is a free diagonal plus a coupling: (diag H - sigma)^-1
         diag = mat.diagonal()
-        scale = 1.0 / (diag - (diag.min() - LOBPCG_SHIFT_OFFSET))
+        pole = diag.min() - LOBPCG_SHIFT_OFFSET
+        scale = 1.0 / (diag - pole)
         vals, vecs, path_diagnostics = _lobpcg_pairs(
-            mat, count, tol, maxiter, lambda w: np.multiply(w, scale, out=w)
+            mat, count, tol, maxiter, lambda w: np.multiply(w, scale, out=w), pole
         )
         diagnostics.update(path_diagnostics, certified=False)
         used = "lobpcg"

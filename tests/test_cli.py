@@ -6,7 +6,7 @@ import sys
 import pytest
 import scipy.linalg
 
-from cerenkov_fiber import spectra
+from cerenkov_fiber import cli, spectra
 from cerenkov_fiber.cli import EXIT_SOLVER, EXIT_VALIDATION, main
 from cerenkov_fiber.config import load_config, make_model
 
@@ -301,6 +301,40 @@ def test_cerenkov_thetas_below_one_exit_with_usage_record(tmp_path, capsys, thet
     assert err["error"] == "usage"
     assert "--thetas" in err["message"]
     assert not (tmp_path / "cerenkov.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "points, eps_min, eps_max, flag",
+    [
+        ("0", "0.02", "0.2", "--points"),
+        ("-2", "0.02", "0.2", "--points"),
+        ("4", "0.02", "nan", "eps-max"),
+        ("4", "nan", "0.2", "eps-min"),
+        ("4", "0.02", "inf", "eps-max"),
+        ("4", "0.2", "0.2", "eps-min < eps-max"),
+        ("4", "0.3", "0.2", "eps-min < eps-max"),
+        ("4", "0", "0.2", "0 < eps-min"),
+    ],
+)
+def test_trial_scaling_bad_window_exits_with_usage_record(
+    tmp_path, capsys, monkeypatch, points, eps_min, eps_max, flag
+):
+    # rejected before the model is built, with a message naming the flag
+    def no_model(cfg):
+        raise AssertionError("model built for a bad trial-scaling window")
+
+    monkeypatch.setattr(cli, "make_model", no_model)
+    code = run([
+        "trial-scaling", "--out", str(tmp_path), "--p", "1.5,0,0",
+        "--eps-min", eps_min, "--eps-max", eps_max, "--points", points,
+    ])
+    assert code == EXIT_VALIDATION
+    lines = capsys.readouterr().err.strip().split("\n")
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "usage"
+    assert flag in err["message"]
+    assert not (tmp_path / "trial_scaling.csv").exists()
 
 
 def test_whole_spectrum_above_dense_cutoff_exits_with_validation_record(

@@ -16,6 +16,8 @@ from cerenkov_fiber.solver import (
     SchurBlocks,
     _certify,
     _inertia_counts,
+    _lowest,
+    _orthonormal,
     lowest_eigenpairs,
     trailing_diagonal_start,
 )
@@ -86,9 +88,12 @@ def test_schur_recovers_multiplet_partners_on_symmetric_grid():
     for count in (4, 8):
         res = lowest_eigenpairs(h, count, tol=1e-9)
         assert res.method == "schur"
-        assert res.eigenvalues == pytest.approx(exact[:count], abs=1e-10)
+        # levels 5-7 lie within 5e-9: the Ritz vectors of the small
+        # eigenproblem must stay orthonormal across that cluster (MRRR
+        # left 1.6e-13 here, and eigenvalues off by 2e-14)
+        assert res.eigenvalues == pytest.approx(exact[:count], abs=1e-14)
         gram = res.eigenvectors.T @ res.eigenvectors
-        assert gram == pytest.approx(np.eye(count), abs=1e-8)
+        assert gram == pytest.approx(np.eye(count), abs=1e-13)
 
 
 @pytest.mark.parametrize(
@@ -132,6 +137,29 @@ def test_lobpcg_stops_when_requested_pairs_converge():
     cluster = lowest_eigenpairs(mat, 4, tol=1e-9, dense_cutoff=0)
     assert cluster.eigenvalues == pytest.approx(exact, abs=1e-12)
     assert cluster.diagnostics["iterations"] > 100
+    # the gap above the requested levels is narrow against their distance
+    # from the pole, so both runs keep their guards
+    assert res.diagnostics["guards_dropped_at"] is None
+    assert cluster.diagnostics["guards_dropped_at"] is None
+
+
+def test_lobpcg_sheds_guards_across_a_wide_gap():
+    # the ground level lies 0.05 above the pole and 2 below the next level:
+    # (theta_0 - pole) < (theta_1 - pole) / 2 holds at steps 0 and 1, so
+    # the guards go at step 1
+    n = 400
+    diag = np.concatenate(
+        [[0.0], 2.0 + 0.1 * np.arange(5), np.linspace(3.0, 10.0, n - 6)]
+    )
+    coupling = 0.02 * sparse.random(n, n, density=0.02, random_state=4)
+    mat = sparse.csr_matrix(sparse.diags(diag) + coupling + coupling.T)
+    exact = scipy.linalg.eigvalsh(mat.toarray(), subset_by_index=(0, 0))
+    res = lowest_eigenpairs(mat, 1, tol=1e-9, dense_cutoff=0)
+    assert res.method == "lobpcg"
+    assert res.diagnostics["block"] == 3
+    assert res.diagnostics["guards_dropped_at"] == 1
+    assert res.eigenvalues == pytest.approx(exact, abs=1e-12)
+    assert res.residual_norms[0] <= 1e-11
 
 
 @pytest.mark.parametrize("count", [1, 5])
@@ -337,3 +365,48 @@ def test_deterministic_lobpcg_runs():
     r2 = lowest_eigenpairs(sym, 3, tol=1e-10, dense_cutoff=0)
     assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
     assert np.array_equal(r1.eigenvectors, r2.eigenvectors)
+    # min(diag) - 5e-2 lies far above the lowest levels of a dense random
+    # matrix, so the gap test for shedding the guards never applies
+    assert r1.diagnostics["guards_dropped_at"] is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dim=st.integers(10, 300),
+    count=st.integers(1, 6),
+    known=st.integers(0, 5),
+    scale=st.sampled_from([0.0, 1e-15, 1e-12, 1e-8, 1e-4, 1e-1, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_orthonormal_rows(dim, count, known, scale, seed):
+    # rows within `scale` of span(against), or of one another when there is
+    # no `against`: a small scale makes the projection cancel most of a row
+    # or the Gram matrix ill-conditioned, and the second round must run
+    rng = np.random.default_rng(seed)
+    against = None
+    if known:
+        against = np.linalg.qr(rng.standard_normal((dim, known)))[0].T.copy()
+        base = rng.standard_normal((count, known)) @ against
+    else:
+        base = np.repeat(rng.standard_normal((1, dim)), count, axis=0)
+    rows = base + scale * rng.standard_normal((count, dim))
+    out, rounds = _orthonormal(rows, against)
+    assert len(out) <= count
+    assert np.abs(out @ out.T - np.eye(len(out))).max(initial=0.0) <= 1e-13
+    if against is not None:
+        assert np.abs(out @ against.T).max(initial=0.0) <= 1e-13
+    # a row the projection cancels exactly leaves nothing for a second round
+    if scale <= 1e-4 and (known or count > 1) and len(out):
+        assert rounds == 2
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    diag=st.lists(st.integers(-3, 3), min_size=1, max_size=40),
+    data=st.data(),
+)
+def test_lowest_matches_a_stable_argsort(diag, data):
+    diag = np.asarray(diag, dtype=float)
+    count = data.draw(st.integers(1, len(diag)))
+    expected = np.argsort(diag, kind="stable")[:count]
+    assert np.array_equal(_lowest(diag, count), expected)
