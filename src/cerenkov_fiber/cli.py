@@ -2,8 +2,12 @@
 
 Exit codes: 0 success, 1 validation error (bad flags or config), 2 solver
 failure.  Every failure prints a one-line JSON error record to stderr.
-Outputs are deterministic for a fixed config fingerprint; numeric fields use
-round-trip decimal formatting.
+
+This is the only module that formats or writes output files.  A CSV file
+opens with `# key=value` comment lines, the first the config fingerprint,
+then a header row; a JSON file is an indented object with sorted keys and a
+`fingerprint` field.  Numbers use round-trip decimal formatting, so outputs
+are byte-identical for a fixed config fingerprint.
 """
 
 import argparse
@@ -11,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -60,14 +65,28 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _finite(text: str) -> float:
+    """argparse type: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _kappa(text: str) -> float:
+    """argparse type: 'inf' or a finite float."""
+    return math.inf if text == "inf" else _finite(text)
+
+
 def _parse_vector(text: str) -> np.ndarray:
+    """argparse type: three finite components PX,PY,PZ."""
     parts = text.split(",")
     if len(parts) != 3:
-        raise UsageError(f"--p expects PX,PY,PZ, got {text!r}")
-    try:
-        return np.array([float(p) for p in parts])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise argparse.ArgumentTypeError(f"expected PX,PY,PZ, got {text!r}")
+    return np.array([_finite(p) for p in parts])
 
 
 def _json_default(obj):
@@ -78,10 +97,23 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _write_json(path, record) -> None:
+def _write(args, name: str, text: str) -> None:
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, name)
     with open(path, "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+        fh.write(text)
+    print(path)
+
+
+def _write_csv(args, name: str, comments, header, rows) -> None:
+    lines = [f"# {c}" for c in comments] + [",".join(header)]
+    lines += [",".join(cells) for cells in rows]
+    _write(args, name, "\n".join(lines) + "\n")
+
+
+def _write_json(args, name: str, record) -> None:
+    text = json.dumps(record, indent=2, sort_keys=True, default=_json_default)
+    _write(args, name, text + "\n")
 
 
 def _load(args) -> RunConfig:
@@ -90,17 +122,12 @@ def _load(args) -> RunConfig:
     return RunConfig().validate()
 
 
-def _out_path(args, name: str) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return os.path.join(args.out, name)
-
-
 def _cmd_spectrum(args) -> int:
     if args.pairs is not None and args.pairs < 1:
         raise UsageError(f"--pairs must be >= 1, got {args.pairs}")
     cfg = _load(args)
     model = make_model(cfg)
-    P = _parse_vector(args.p)
+    P = args.p
     pairs = cfg.pairs if args.pairs is None else args.pairs
     result = model.lowest(P, args.g, count=pairs)
     psi = result.ground_vector()
@@ -118,9 +145,7 @@ def _cmd_spectrum(args) -> int:
             psi, np.ones(model.grid.n_modes), model.basis
         ),
     }
-    path = _out_path(args, "spectrum.json")
-    _write_json(path, record)
-    print(path)
+    _write_json(args, "spectrum.json", record)
     return EXIT_OK
 
 
@@ -128,7 +153,7 @@ def _cmd_scan(args) -> int:
     cfg = _load(args)
     model = make_model(cfg)
     exp = cfg.extras()
-    scan = mass_shell_scan(
+    rows = mass_shell_scan(
         model,
         args.pmin,
         args.pmax,
@@ -137,14 +162,27 @@ def _cmd_scan(args) -> int:
         n_shell_max=exp.n_shell_max,
         fd_step=exp.fd_step,
         curvature_step=exp.curvature_step,
-        fingerprint=cfg.fingerprint(),
     )
-    csv_path = _out_path(args, "scan.csv")
-    json_path = _out_path(args, "scan.json")
-    scan.to_csv(csv_path)
-    scan.to_json(json_path, config=cfg.to_dict())
-    print(csv_path)
-    print(json_path)
+    numbers = ["p", "e0", "grad_e_fh", "grad_e_fd", "curvature_fd"]
+    shells = [f"n_shell_{n}" for n in range(1, exp.n_shell_max + 1)]
+    columns = numbers + shells + ["vacuum_overlap", "status"]
+    table = [
+        [_fmt(getattr(row, name)) for name in numbers]
+        + [_fmt(x) for x in row.shell_numbers]
+        + [_fmt(row.vacuum_overlap), row.status]
+        for row in rows
+    ]
+    fingerprint = cfg.fingerprint()
+    _write_csv(args, "scan.csv", [f"fingerprint={fingerprint}"], columns, table)
+    record = {
+        "fingerprint": fingerprint,
+        "g": args.g,
+        "n_shell_max": exp.n_shell_max,
+        "columns": columns,
+        "rows": [asdict(row) for row in rows],
+        "config": cfg.to_dict(),
+    }
+    _write_json(args, "scan.json", record)
     return EXIT_OK
 
 
@@ -166,13 +204,17 @@ def _sector_from_flag(text: str, axis, g: float, cfg: RunConfig):
 
 
 def _cmd_virial(args) -> int:
+    if args.sector is None and args.mode != "parallel":
+        raise UsageError(f"--mode {args.mode} needs --sector")
+    if args.sector is not None and args.kappa is not None:
+        raise UsageError("--kappa applies only without --sector")
     cfg = _load(args)
     model = make_model(cfg)
-    P = _parse_vector(args.p)
+    P = args.p
     result = model.lowest(P, args.g)
     psi = result.ground_vector()
     eigen_residual = float(result.residual_norms[0])
-    if args.sector:
+    if args.sector is not None:
         axis = P / np.linalg.norm(P) if np.linalg.norm(P) > 0 else model.grid.axis
         shell, cone = _sector_from_flag(args.sector, axis, args.g, cfg)
         grad = fh_gradient(result, P, model.basis)
@@ -188,7 +230,7 @@ def _cmd_virial(args) -> int:
             eigen_residual=eigen_residual,
         )
     else:
-        kappa = math.inf if args.kappa in (None, "inf") else float(args.kappa)
+        kappa = math.inf if args.kappa is None else args.kappa
         spec = DilationSpec(kappa=kappa)
         report = virial_residual(
             psi,
@@ -199,14 +241,15 @@ def _cmd_virial(args) -> int:
             model.form_factor,
             eigen_residual=eigen_residual,
         )
-    record = report.to_dict()
+    record = asdict(report)
+    record["residual_dominates"] = report.residual_dominates
+    if report.kappa == math.inf:
+        record["kappa"] = "inf"
     record["fingerprint"] = cfg.fingerprint()
     record["p"] = list(P)
     record["g"] = args.g
     record["e0"] = result.ground_energy
-    path = _out_path(args, "virial.json")
-    _write_json(path, record)
-    print(path)
+    _write_json(args, "virial.json", record)
     return EXIT_OK
 
 
@@ -214,26 +257,21 @@ def _cmd_cerenkov(args) -> int:
     if args.thetas < 1:
         raise UsageError(f"--thetas must be >= 1, got {args.thetas}")
     cfg = _load(args)
-    P = _parse_vector(args.p)
-    p_mag = float(np.linalg.norm(P))
+    p_mag = float(np.linalg.norm(args.p))
     energy = args.e if args.e is not None else 0.5 * p_mag * p_mag
-    cos_values = np.linspace(-1.0, 1.0, args.thetas)
-    lines = [f"# fingerprint={cfg.fingerprint()}", "cos_theta,root_count,root_1,root_2"]
-    for c in cos_values:
+    rows = []
+    for c in np.linspace(-1.0, 1.0, args.thetas):
         roots = cerenkov.resonance_momentum(p_mag, energy, float(c))
         cells = [_fmt(c), str(len(roots))]
-        cells += [_fmt(r) for r in roots] + [""] * (2 - len(roots))
-        lines.append(",".join(cells))
-    path = _out_path(args, "cerenkov.csv")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(path)
+        rows.append(cells + [_fmt(r) for r in roots] + [""] * (2 - len(roots)))
+    header = ["cos_theta", "root_count", "root_1", "root_2"]
+    _write_csv(args, "cerenkov.csv", [f"fingerprint={cfg.fingerprint()}"], header, rows)
     return EXIT_OK
 
 
 def _cmd_golden_rule(args) -> int:
     cfg = _load(args)
-    P = _parse_vector(args.p)
+    P = args.p
     gamma = cerenkov.golden_rule_rate(P, args.g, cfg.form_factor())
     threshold = cerenkov.cerenkov_threshold(float(np.linalg.norm(P)))
     record = {
@@ -243,9 +281,7 @@ def _cmd_golden_rule(args) -> int:
         "rate": gamma,
         "threshold_cos": threshold,
     }
-    path = _out_path(args, "golden_rule.json")
-    _write_json(path, record)
-    print(path)
+    _write_json(args, "golden_rule.json", record)
     return EXIT_OK
 
 
@@ -258,27 +294,25 @@ def _cmd_trial_scaling(args) -> int:
         )
     cfg = _load(args)
     model = make_model(cfg)
-    P = _parse_vector(args.p)
-    p_mag = float(np.linalg.norm(P))
+    p_mag = float(np.linalg.norm(args.p))
     energy = args.e if args.e is not None else 0.5 * p_mag * p_mag
     epsilons = np.geomspace(args.eps_min, args.eps_max, args.points)
     rows = cerenkov.trial_scaling(
-        P, energy, model.grid, model.basis, model.form_factor, args.g, epsilons
+        args.p, energy, model.grid, model.basis, model.form_factor, args.g, epsilons
     )
-    lines = [f"# fingerprint={cfg.fingerprint()}", "epsilon,element_abs,norm,ratio"]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    path = _out_path(args, "trial_scaling.csv")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(path)
+    _write_csv(
+        args,
+        "trial_scaling.csv",
+        [f"fingerprint={cfg.fingerprint()}"],
+        ["epsilon", "element_abs", "norm", "ratio"],
+        [[_fmt(x) for x in row] for row in rows],
+    )
     return EXIT_OK
 
 
 def _cmd_overlap(args) -> int:
     cfg = _load(args)
     model = make_model(cfg)
-    P = _parse_vector(args.p)
     if args.window == "auto":
         window = "auto"
     else:
@@ -286,10 +320,20 @@ def _cmd_overlap(args) -> int:
         if len(parts) != 2:
             raise UsageError(f"--window expects 'auto' or LO,HI, got {args.window!r}")
         window = (float(parts[0]), float(parts[1]))
-    dist = vacuum_overlap_distribution(model, P, args.g, window=window)
-    path = _out_path(args, "overlap.csv")
-    dist.to_csv(path, fingerprint=cfg.fingerprint())
-    print(path)
+    dist = vacuum_overlap_distribution(model, args.p, args.g, window=window)
+    comments = [
+        f"fingerprint={cfg.fingerprint()}",
+        f"captured_weight={_fmt(dist.captured_weight)}"
+        f" low_capture={str(dist.low_capture).lower()}",
+    ]
+    if dist.nodes is not None:
+        lower, upper = dist.bracket
+        comments.append(
+            f"rows=gauss_nodes nodes={dist.nodes}"
+            f" captured_bracket={_fmt(lower)},{_fmt(upper)}"
+        )
+    rows = [[_fmt(e), _fmt(w)] for e, w in zip(dist.energies, dist.weights)]
+    _write_csv(args, "overlap.csv", comments, ["energy", "weight"], rows)
     return EXIT_OK
 
 
@@ -303,24 +347,28 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("spectrum", help="low-lying eigenpairs at one momentum")
     common(p)
-    p.add_argument("--p", required=True, help="total momentum PX,PY,PZ")
-    p.add_argument("--g", type=float, required=True)
+    p.add_argument(
+        "--p", type=_parse_vector, required=True, help="total momentum PX,PY,PZ"
+    )
+    p.add_argument("--g", type=_finite, required=True)
     p.add_argument("--pairs", type=int, default=None)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("scan", help="dispersion scan over |P|")
     common(p)
-    p.add_argument("--pmin", type=float, required=True)
-    p.add_argument("--pmax", type=float, required=True)
+    p.add_argument("--pmin", type=_finite, required=True)
+    p.add_argument("--pmax", type=_finite, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--g", type=float, required=True)
+    p.add_argument("--g", type=_finite, required=True)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("virial", help="dilation-identity residual on the ground state")
     common(p)
-    p.add_argument("--p", required=True)
-    p.add_argument("--g", type=float, required=True)
-    p.add_argument("--kappa", default="inf", help="scaling window, number or 'inf'")
+    p.add_argument("--p", type=_parse_vector, required=True)
+    p.add_argument("--g", type=_finite, required=True)
+    p.add_argument(
+        "--kappa", type=_kappa, default=None, help="scaling window, number or 'inf'"
+    )
     p.add_argument("--sector", default=None, help="N,KIND for the sector identity")
     p.add_argument(
         "--mode",
@@ -332,22 +380,22 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("cerenkov", help="resonance roots over a cos(theta) table")
     common(p)
-    p.add_argument("--p", required=True)
-    p.add_argument("--e", type=float, default=None, help="target energy (P^2/2)")
+    p.add_argument("--p", type=_parse_vector, required=True)
+    p.add_argument("--e", type=_finite, default=None, help="target energy (P^2/2)")
     p.add_argument("--thetas", type=int, required=True)
     p.set_defaults(func=_cmd_cerenkov)
 
     p = sub.add_parser("golden-rule", help="decay rate of the bare state")
     common(p)
-    p.add_argument("--p", required=True)
-    p.add_argument("--g", type=float, required=True)
+    p.add_argument("--p", type=_parse_vector, required=True)
+    p.add_argument("--g", type=_finite, required=True)
     p.set_defaults(func=_cmd_golden_rule)
 
     p = sub.add_parser("trial-scaling", help="decay element vs window width")
     common(p)
-    p.add_argument("--p", required=True)
-    p.add_argument("--g", type=float, default=0.05)
-    p.add_argument("--e", type=float, default=None)
+    p.add_argument("--p", type=_parse_vector, required=True)
+    p.add_argument("--g", type=_finite, default=0.05)
+    p.add_argument("--e", type=_finite, default=None)
     p.add_argument("--eps-min", type=float, required=True)
     p.add_argument("--eps-max", type=float, required=True)
     p.add_argument("--points", type=int, required=True)
@@ -355,8 +403,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("overlap", help="bare-state overlap distribution")
     common(p)
-    p.add_argument("--p", required=True)
-    p.add_argument("--g", type=float, required=True)
+    p.add_argument("--p", type=_parse_vector, required=True)
+    p.add_argument("--g", type=_finite, required=True)
     p.add_argument("--window", default="auto")
     p.set_defaults(func=_cmd_overlap)
 

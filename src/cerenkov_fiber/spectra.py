@@ -12,7 +12,6 @@ bracket on the window weight is narrower than OVERLAP_BRACKET_WIDTH; the
 rows are then the nodes and weights of its Gauss rule.
 """
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -170,74 +169,12 @@ def curvature_fd(
 class ScanRow:
     p: float
     e0: float = math.nan
-    grad_fh: float = math.nan
-    grad_fd: float = math.nan
+    grad_e_fh: float = math.nan
+    grad_e_fd: float = math.nan
     curvature_fd: float = math.nan
     shell_numbers: list = field(default_factory=list)
     vacuum_overlap: float = math.nan
     status: str = "ok"
-
-
-@dataclass
-class MassShellScan:
-    """Rows of dispersion data at strictly increasing |P|."""
-
-    rows: list
-    g: float
-    n_shell_max: int
-    fingerprint: str | None = None
-
-    def columns(self):
-        shells = [f"n_shell_{n}" for n in range(1, self.n_shell_max + 1)]
-        return ["p", "e0", "grad_e_fh", "grad_e_fd", "curvature_fd"] + shells + [
-            "vacuum_overlap",
-            "status",
-        ]
-
-    def to_csv(self, path) -> None:
-        lines = []
-        if self.fingerprint:
-            lines.append(f"# fingerprint={self.fingerprint}")
-        lines.append(",".join(self.columns()))
-        for row in self.rows:
-            cells = [
-                repr(float(row.p)),
-                repr(float(row.e0)),
-                repr(float(row.grad_fh)),
-                repr(float(row.grad_fd)),
-                repr(float(row.curvature_fd)),
-            ]
-            cells += [repr(float(x)) for x in row.shell_numbers]
-            cells += [repr(float(row.vacuum_overlap)), row.status]
-            lines.append(",".join(cells))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-    def to_json(self, path, config: dict | None = None) -> None:
-        record = {
-            "fingerprint": self.fingerprint,
-            "g": self.g,
-            "n_shell_max": self.n_shell_max,
-            "columns": self.columns(),
-            "rows": [
-                {
-                    "p": row.p,
-                    "e0": row.e0,
-                    "grad_e_fh": row.grad_fh,
-                    "grad_e_fd": row.grad_fd,
-                    "curvature_fd": row.curvature_fd,
-                    "shell_numbers": list(row.shell_numbers),
-                    "vacuum_overlap": row.vacuum_overlap,
-                    "status": row.status,
-                }
-                for row in self.rows
-            ],
-        }
-        if config is not None:
-            record["config"] = config
-        with open(path, "w") as fh:
-            json.dump(record, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def mass_shell_scan(
@@ -249,11 +186,10 @@ def mass_shell_scan(
     n_shell_max: int = 3,
     fd_step: float = 1e-3,
     curvature_step: float = 1e-2,
-    fingerprint: str | None = None,
-) -> MassShellScan:
+) -> list[ScanRow]:
     """Dispersion scan over |P| in [p_min, p_max] with shared grid/basis.
 
-    Each point reports the ground pair, both gradient estimates, the FD
+    One row per point, at strictly increasing |P|, reports the ground pair, both gradient estimates, the FD
     curvature, shell-restricted boson numbers for n = 1..n_shell_max, and the
     vacuum overlap.  All five solves of a point ask for the ground pair
     only: for g != 0 and a coupling that reaches every mode the ground level
@@ -284,8 +220,8 @@ def mass_shell_scan(
             row.e0 = result.ground_energy
             psi = result.ground_vector()
             grad = fh_gradient(result, P, model.basis)
-            row.grad_fh = float(grad @ model.grid.axis)
-            row.grad_fd = grad_E_fd(model, p_mag, g, h=fd_step)
+            row.grad_e_fh = float(grad @ model.grid.axis)
+            row.grad_e_fd = grad_E_fd(model, p_mag, g, h=fd_step)
             row.curvature_fd = curvature_fd(
                 model, p_mag, g, h=curvature_step, e0=row.e0
             )
@@ -298,10 +234,7 @@ def mass_shell_scan(
             row.shell_numbers = [math.nan] * n_shell_max
         return row
 
-    rows = [point(p) for p in p_values]
-    return MassShellScan(
-        rows=rows, g=g, n_shell_max=n_shell_max, fingerprint=fingerprint
-    )
+    return [point(p) for p in p_values]
 
 
 @dataclass
@@ -325,26 +258,6 @@ class OverlapDistribution:
     low_capture: bool
     nodes: int | None = None
     bracket: tuple | None = None
-
-    def to_csv(self, path, fingerprint: str | None = None) -> None:
-        lines = []
-        if fingerprint:
-            lines.append(f"# fingerprint={fingerprint}")
-        lines.append(
-            f"# captured_weight={repr(self.captured_weight)}"
-            f" low_capture={str(self.low_capture).lower()}"
-        )
-        if self.nodes is not None:
-            lower, upper = self.bracket
-            lines.append(
-                f"# rows=gauss_nodes nodes={self.nodes}"
-                f" captured_bracket={repr(lower)},{repr(upper)}"
-            )
-        lines.append("energy,weight")
-        for e, w in zip(self.energies, self.weights):
-            lines.append(f"{repr(float(e))},{repr(float(w))}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
 
 
 def vacuum_overlap_distribution(

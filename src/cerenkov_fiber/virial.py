@@ -158,24 +158,6 @@ class VirialReport:
         )
         return abs(self.residual) > max(abs(t) for t in terms)
 
-    def to_dict(self) -> dict:
-        out = {
-            "residual": self.residual,
-            "residual_dominates": self.residual_dominates,
-            "number_energy_term": self.number_energy_term,
-            "momentum_mixed_term": self.momentum_mixed_term,
-            "drift_term": self.drift_term,
-            "source_term": self.source_term,
-            "mode": self.mode,
-        }
-        out["kappa"] = (
-            "inf" if self.kappa is not None and math.isinf(self.kappa) else self.kappa
-        )
-        out["shell_n"] = self.shell_n
-        out["cone_kind"] = self.cone_kind
-        out["eigen_residual"] = self.eigen_residual
-        return out
-
 
 def virial_residual(
     state,
@@ -195,17 +177,16 @@ def virial_residual(
     diagonal vector sums; both factors are diagonal on the occupation basis,
     so the symmetrized product is exact at the discrete level.
     """
-    if spec.mode != "parallel":
-        raise DilationParameterError("the fiber identity uses the parallel mode")
+    if spec.mode != "parallel" or spec.shell is not None or spec.cone is not None:
+        raise DilationParameterError(
+            "the fiber identity uses the parallel kappa-window generator; "
+            "shell/cone sectors go through sector_virial_residual"
+        )
     psi = np.asarray(state, dtype=float)
     P = np.asarray(P, dtype=float).reshape(3)
     grid = basis.grid
     r = grid.magnitudes
-
-    _, _, chi, _ = _window_profiles(form_factor, spec, r)
-    w2 = chi**2
-    if spec.cone is not None:
-        w2 = w2 * cone_weight(spec.cone, grid.unit_vectors) ** 2
+    w2 = kappa_window(spec.kappa, r) ** 2
 
     t_energy = float(np.sum(psi * psi * basis.dgamma_diagonal(w2 * r)))
     w_mom = basis.dgamma_vector_diagonal(w2[:, None] * grid.k)
@@ -223,9 +204,6 @@ def virial_residual(
         drift_term=t_drift,
         source_term=t_source,
         kappa=spec.kappa,
-        shell_n=spec.shell.n if spec.shell else None,
-        cone_kind=spec.cone.kind if spec.cone else None,
-        mode=spec.mode,
         eigen_residual=eigen_residual,
     )
 

@@ -11,7 +11,7 @@ from cerenkov_fiber.grids import (
     build_grid,
 )
 from cerenkov_fiber.observables import _normalized
-from cerenkov_fiber.spectra import FiberModel
+from cerenkov_fiber.spectra import DEGENERACY_TOL, FiberModel
 from cerenkov_fiber.weights import ConeSpec, ShellSpec, cone_weight, shell_weight
 
 
@@ -159,3 +159,22 @@ def expect_field_momentum_sq(state, basis) -> float:
     psi = _normalized(state, "expect_field_momentum_sq")
     sq = np.einsum("sd,sd->s", basis.total_momentum, basis.total_momentum)
     return float(np.sum(psi * psi * sq))
+
+
+def cluster_sums(energies, weights):
+    """Energies of DEGENERACY_TOL clusters and the weight summed over each."""
+    order = np.argsort(energies)
+    energies, weights = energies[order], weights[order]
+    breaks = np.nonzero(np.diff(energies) > DEGENERACY_TOL)[0] + 1
+    starts = np.concatenate([[0], breaks])
+    return energies[starts], np.add.reduceat(weights, starts)
+
+
+def empty_windows(vals, weights):
+    """Windows of the vacuum's measure that hold no weight: below the
+    spectrum, and the middle third of the gap between the two lowest levels
+    that carry weight."""
+    vals, weights = cluster_sums(vals, weights)
+    first, second = vals[weights > 1e-12][:2]
+    third = (second - first) / 3.0
+    return [(first - 2.0, first - 1.0), (first + third, second - third)]

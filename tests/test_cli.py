@@ -5,10 +5,11 @@ import sys
 
 import pytest
 import scipy.linalg
+from conftest import empty_windows
 
 from cerenkov_fiber import cli, spectra
 from cerenkov_fiber.cli import EXIT_SOLVER, EXIT_VALIDATION, main
-from cerenkov_fiber.config import load_config, make_model
+from cerenkov_fiber.config import config_from_dict, load_config, make_model
 
 SMALL = dict(
     radial_count=6,
@@ -118,20 +119,137 @@ def test_trial_scaling_csv(tmp_path, config_path):
     assert len(lines) == 6
 
 
+@pytest.mark.filterwarnings("ignore:overlap window captured")
 def test_deterministic_outputs(tmp_path, config_path):
+    # every file of every command reproduces byte for byte and carries the
+    # config fingerprint
+    commands = [
+        ["spectrum", "--p", "0.5,0,0", "--g", "0.05"],
+        ["scan", "--pmin", "0.3", "--pmax", "0.9", "--steps", "3", "--g", "0.05"],
+        ["virial", "--p", "0.5,0,0", "--g", "0.05"],
+        ["cerenkov", "--p", "2,0,0", "--thetas", "3"],
+        ["golden-rule", "--p", "1.5,0,0", "--g", "0.1"],
+        [
+            "trial-scaling", "--p", "1.5,0,0",
+            "--eps-min", "0.02", "--eps-max", "0.2", "--points", "3",
+        ],
+        ["overlap", "--p", "0.5,0,0", "--g", "0.05"],
+    ]
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
-        assert run([
-            "scan", "--config", config_path, "--out", str(out),
-            "--pmin", "0.3", "--pmax", "0.9", "--steps", "3", "--g", "0.05",
-        ]) == 0
-    assert (out1 / "scan.csv").read_bytes() == (out2 / "scan.csv").read_bytes()
+        for command in commands:
+            common = ["--config", config_path, "--out", str(out)]
+            assert run(command + common) == 0, command
+    names = sorted(os.listdir(out1))
+    assert names == [
+        "cerenkov.csv", "golden_rule.json", "overlap.csv", "scan.csv",
+        "scan.json", "spectrum.json", "trial_scaling.csv", "virial.json",
+    ]
+    assert sorted(os.listdir(out2)) == names
+    fingerprint = load_config(config_path).fingerprint()
+    for name in names:
+        text = (out1 / name).read_text()
+        assert text == (out2 / name).read_text(), name
+        if name.endswith(".csv"):
+            assert text.split("\n")[0] == f"# fingerprint={fingerprint}", name
+        else:
+            assert json.loads(text)["fingerprint"] == fingerprint, name
 
 
-def _overlap_argv(config, out, *extra):
+def test_scan_csv_and_json(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(SMALL, experiment={"n_shell_max": 2})))
+    assert run([
+        "scan", "--config", str(path), "--out", str(tmp_path),
+        "--pmin", "0.2", "--pmax", "0.8", "--steps", "4", "--g", "0",
+    ]) == 0
+    fingerprint = load_config(str(path)).fingerprint()
+    lines = (tmp_path / "scan.csv").read_text().split("\n")
+    assert lines[0] == f"# fingerprint={fingerprint}"
+    header = lines[1].split(",")
+    assert header == [
+        "p", "e0", "grad_e_fh", "grad_e_fd", "curvature_fd",
+        "n_shell_1", "n_shell_2", "vacuum_overlap", "status",
+    ]
+    assert len(lines) == 7 and lines[-1] == ""
+    record = json.loads((tmp_path / "scan.json").read_text())
+    assert record["fingerprint"] == fingerprint
+    assert record["columns"] == header
+    assert len(record["rows"]) == 4
+    for line, row in zip(lines[2:], record["rows"]):
+        assert set(row) == {
+            "p", "e0", "grad_e_fh", "grad_e_fd", "curvature_fd",
+            "shell_numbers", "vacuum_overlap", "status",
+        }
+        cells = line.split(",")
+        assert [float(c) for c in cells[:5]] == [row[k] for k in header[:5]]
+        assert [float(c) for c in cells[5:7]] == row["shell_numbers"]
+        assert cells[-1] == row["status"] == "ok"
+
+
+def test_overlap_csv(tmp_path, config_path):
+    assert run([
+        "overlap", "--config", config_path, "--out", str(tmp_path),
+        "--p", "0.5,0,0", "--g", "0.02",
+    ]) == 0
+    lines = (tmp_path / "overlap.csv").read_text().strip().split("\n")
+    assert lines[0] == f"# fingerprint={load_config(config_path).fingerprint()}"
+    assert lines[1].startswith("# captured_weight=")
+    assert lines[2] == "energy,weight"
+
+
+@pytest.fixture(scope="module")
+def gauss_empty_windows():
+    """Windows of the GAUSS model's vacuum measure at P = (0, 0, 0.5),
+    g = 0.05 that hold no weight, from a full eigh."""
+    model = make_model(config_from_dict(GAUSS))
+    mat = model.hamiltonian(model.on_axis(0.5), 0.05).matrix.toarray()
+    vals, vecs = scipy.linalg.eigh(mat)
+    return empty_windows(vals, vecs[0] ** 2)
+
+
+@pytest.mark.parametrize(
+    "dense_cutoff, which",
+    [
+        pytest.param(1000, 0, id="gauss-below"),
+        pytest.param(1000, 1, id="gauss-gap"),
+        pytest.param(2000, 0, id="dense-below"),
+    ],
+)
+def test_overlap_empty_window_csv(tmp_path, gauss_empty_windows, dense_cutoff, which):
+    # a window without weight writes the header-only file; the Gauss path
+    # adds its rule line, with the certified bracket's upper end
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(GAUSS, experiment={"dense_cutoff": dense_cutoff})))
+    cfg = load_config(str(path))
+    lo, hi = map(float, gauss_empty_windows[which])
+    with pytest.warns(UserWarning, match="captured only 0.0000"):
+        assert run(_overlap_argv(
+            path, tmp_path, f"--window={lo!r},{hi!r}", p="0,0,0.5"
+        )) == 0
+    expected = [
+        f"# fingerprint={cfg.fingerprint()}",
+        "# captured_weight=0.0 low_capture=true",
+    ]
+    model = make_model(cfg)
+    if model.basis.dimension > dense_cutoff:
+        with pytest.warns(UserWarning, match="captured only 0.0000"):
+            dist = spectra.vacuum_overlap_distribution(
+                model, model.on_axis(0.5), 0.05, window=(lo, hi)
+            )
+        lower, upper = dist.bracket
+        assert dist.nodes >= 1 and lower == 0.0
+        expected.append(
+            f"# rows=gauss_nodes nodes={dist.nodes} captured_bracket=0.0,{upper!r}"
+        )
+    expected.append("energy,weight")
+    assert (tmp_path / "overlap.csv").read_text().splitlines() == expected
+
+
+def _overlap_argv(config, out, *extra, p="1.5,0,0"):
     return [
         "overlap", "--config", str(config), "--out", str(out),
-        "--p", "1.5,0,0", "--g", "0.05", *extra,
+        "--p", p, "--g", "0.05", *extra,
     ]
 
 
@@ -372,11 +490,78 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     assert err["error"] == "validation"
 
 
-def test_bad_vector_exit_code(capsys, config_path):
-    code = run([
-        "golden-rule", "--config", config_path, "--p", "1.5,0", "--g", "0.1",
-    ])
+def test_bad_vector_exit_code(tmp_path, capsys, config_path):
+    for vector in ("1.5,0", "1.5,0,x", "nan,0,0", "1.5,inf,0", "1.5,0,-inf"):
+        code = run([
+            "golden-rule", "--config", config_path, "--out", str(tmp_path),
+            "--p", vector, "--g", "0.1",
+        ])
+        assert code == EXIT_VALIDATION, vector
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "usage"
+        assert "--p" in err["message"]
+    assert not (tmp_path / "golden_rule.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["golden-rule", "--p", "1.5,0,0", "--g", "nan"], "--g"),
+        (["golden-rule", "--p", "1.5,0,0", "--g", "inf"], "--g"),
+        (["spectrum", "--p", "0.5,0,0", "--g=-inf"], "--g"),
+        (["cerenkov", "--p", "1.5,0,0", "--e", "nan", "--thetas", "5"], "--e"),
+        (["cerenkov", "--p", "inf,0,0", "--thetas", "5"], "--p"),
+        (["trial-scaling", "--p", "1.5,0,0", "--e", "nan", "--eps-min", "0.02",
+          "--eps-max", "0.2", "--points", "3"], "--e"),
+        (["scan", "--pmin", "nan", "--pmax", "0.9", "--steps", "3", "--g", "0.05"],
+         "--pmin"),
+        (["scan", "--pmin", "0.3", "--pmax", "inf", "--steps", "3", "--g", "0.05"],
+         "--pmax"),
+        (["virial", "--p", "0.5,0,0", "--g", "0.1", "--kappa", "nan"], "--kappa"),
+        (["virial", "--p", "0.5,0,0", "--g", "0.1", "--kappa=-inf"], "--kappa"),
+    ],
+)
+def test_non_finite_flag_exits_with_usage_record(
+    tmp_path, capsys, monkeypatch, argv, flag
+):
+    # rejected while the command line is parsed, before any model is built
+    def no_model(cfg):
+        raise AssertionError("model built for a non-finite flag")
+
+    monkeypatch.setattr(cli, "make_model", no_model)
+    code = run(argv + ["--out", str(tmp_path)])
     assert code == EXIT_VALIDATION
+    lines = capsys.readouterr().err.strip().split("\n")
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "usage"
+    assert flag in err["message"]
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "extra, flag",
+    [
+        (["--mode", "perpendicular"], "--sector"),
+        (["--sector", "1,forward", "--kappa", "30"], "--kappa"),
+    ],
+)
+def test_virial_flag_without_effect_exits_with_usage_record(
+    tmp_path, capsys, monkeypatch, extra, flag
+):
+    # --mode selects the sector generator and --kappa the fiber identity's
+    # window: a flag the chosen identity would ignore is refused
+    def no_model(cfg):
+        raise AssertionError("model built for an ignored virial flag")
+
+    monkeypatch.setattr(cli, "make_model", no_model)
+    argv = ["virial", "--out", str(tmp_path), "--p", "1.5,0,0", "--g", "0.1"]
+    code = run(argv + extra)
+    assert code == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "usage"
+    assert flag in err["message"]
+    assert not (tmp_path / "virial.json").exists()
 
 
 def test_solver_failure_exit_code(tmp_path, capsys):

@@ -1,12 +1,11 @@
 import dataclasses
-import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import max_radial_width, single_mode_grid
+from conftest import cluster_sums, empty_windows, max_radial_width, single_mode_grid
 
 from cerenkov_fiber.fock import build_basis
 from cerenkov_fiber.formfactor import FormFactor
@@ -14,7 +13,6 @@ from cerenkov_fiber.grids import AngularSpec, RadialSpec, build_grid
 from cerenkov_fiber.hamiltonian import free_fiber_diagonal
 from cerenkov_fiber.solver import SchurBlocks
 from cerenkov_fiber.spectra import (
-    DEGENERACY_TOL,
     LANCZOS_MEMORY_BUDGET,
     OVERLAP_BRACKET_WIDTH,
     FiberModel,
@@ -39,12 +37,11 @@ def scan_model():
 
 
 def test_free_theory_scan_row(scan_model):
-    scan = mass_shell_scan(scan_model, 0.5, 0.5, 1, g=0.0, n_shell_max=2)
-    row = scan.rows[0]
+    [row] = mass_shell_scan(scan_model, 0.5, 0.5, 1, g=0.0, n_shell_max=2)
     assert row.e0 == pytest.approx(0.125, abs=1e-12)
     assert row.shell_numbers == pytest.approx([0.0, 0.0])
     assert row.vacuum_overlap == pytest.approx(1.0)
-    assert row.grad_fh == pytest.approx(0.5, abs=1e-9)
+    assert row.grad_e_fh == pytest.approx(0.5, abs=1e-9)
     assert row.status == "ok"
 
 
@@ -100,10 +97,10 @@ def test_scan_marks_failed_points_and_continues(monkeypatch):
                 model.solver_maxiter = 1
             else:
                 patch.setattr(SchurBlocks, "count_below", one_more)
-            scan = mass_shell_scan(model, 0.3, 0.7, 3, g=0.05)
-        assert len(scan.rows) == 3
-        assert all(row.status == "failed" for row in scan.rows)
-        assert all(math.isnan(row.e0) for row in scan.rows)
+            rows = mass_shell_scan(model, 0.3, 0.7, 3, g=0.05)
+        assert len(rows) == 3
+        assert all(row.status == "failed" for row in rows)
+        assert all(math.isnan(row.e0) for row in rows)
 
 
 def test_gradients_agree_perturbative(scan_model):
@@ -183,28 +180,14 @@ def test_variational_nesting_under_basis_enlargement():
     assert all(b <= a + 1e-9 for a, b in zip(energies, energies[1:]))
 
 
-def test_scan_rows_strictly_increasing_and_csv(tmp_path, scan_model):
-    scan = mass_shell_scan(
-        scan_model, 0.2, 0.8, 4, g=0.0, n_shell_max=2, fingerprint="cafebabe"
-    )
-    ps = [row.p for row in scan.rows]
+def test_scan_rows_strictly_increasing(scan_model):
+    rows = mass_shell_scan(scan_model, 0.2, 0.8, 4, g=0.0, n_shell_max=2)
+    ps = [row.p for row in rows]
+    assert len(ps) == 4
     assert all(b > a for a, b in zip(ps, ps[1:]))
-    for row in scan.rows:
+    for row in rows:
         assert row.e0 == pytest.approx(0.5 * row.p**2, abs=1e-9)
-    csv_path = tmp_path / "scan.csv"
-    scan.to_csv(csv_path)
-    text = csv_path.read_text()
-    assert text.startswith("# fingerprint=cafebabe\n")
-    header = text.split("\n")[1].split(",")
-    assert header == [
-        "p", "e0", "grad_e_fh", "grad_e_fd", "curvature_fd",
-        "n_shell_1", "n_shell_2", "vacuum_overlap", "status",
-    ]
-    json_path = tmp_path / "scan.json"
-    scan.to_json(json_path, config={"demo": 1})
-    record = json.loads(json_path.read_text())
-    assert record["fingerprint"] == "cafebabe"
-    assert len(record["rows"]) == 4
+        assert len(row.shell_numbers) == 2
 
 
 def test_scan_validation(scan_model):
@@ -279,31 +262,12 @@ def test_overlap_low_capture_flag(scan_model):
     assert dist.captured_weight < 0.99
 
 
-def test_overlap_csv(tmp_path, scan_model):
-    dist = vacuum_overlap_distribution(scan_model, scan_model.on_axis(0.5), 0.02)
-    path = tmp_path / "overlap.csv"
-    dist.to_csv(path, fingerprint="deadbeef")
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "# fingerprint=deadbeef"
-    assert lines[1].startswith("# captured_weight=")
-    assert lines[2] == "energy,weight"
-
-
-def _cluster_sums(energies, weights):
-    """Energies of DEGENERACY_TOL clusters and the weight summed over each."""
-    order = np.argsort(energies)
-    energies, weights = energies[order], weights[order]
-    breaks = np.nonzero(np.diff(energies) > DEGENERACY_TOL)[0] + 1
-    starts = np.concatenate([[0], breaks])
-    return energies[starts], np.add.reduceat(weights, starts)
-
-
 def _full_eigh_rows(model, P, g, window):
     """The overlap's rows from a full dense eigh: the window's eigenpairs."""
     vals, vecs = scipy.linalg.eigh(model.hamiltonian(P, g).matrix.toarray())
     lo, hi = window
     rows = np.nonzero((vals >= lo) & (vals <= hi))[0]
-    return _cluster_sums(vals[rows], vecs[0, rows] ** 2)
+    return cluster_sums(vals[rows], vecs[0, rows] ** 2)
 
 
 def _overlap_quietly(model, P, g, **kwargs):
@@ -325,7 +289,7 @@ def test_overlap_tridiagonal_path_matches_full_eigh(request, name, p_mag):
     assert model.basis.dimension <= model.dense_cutoff
     P = model.on_axis(p_mag)
     dist = _overlap_quietly(model, P, 0.05)
-    energies, weights = _cluster_sums(dist.energies, dist.weights)
+    energies, weights = cluster_sums(dist.energies, dist.weights)
     ref_energies, ref_weights = _full_eigh_rows(model, P, 0.05, dist.window)
     np.testing.assert_allclose(energies, ref_energies, rtol=0, atol=1e-12)
     np.testing.assert_allclose(weights, ref_weights, rtol=0, atol=1e-12)
@@ -418,24 +382,12 @@ def test_overlap_gauss_bracket_holds_dense_weight(
     assert lower - 1e-12 <= dist.captured_weight <= upper + 1e-12
 
 
-def _empty_windows(vals, weights):
-    """Windows of the vacuum's measure that hold no weight: below the
-    spectrum, and the middle third of the gap between the two lowest levels
-    that carry weight."""
-    vals, weights = _cluster_sums(vals, weights)
-    first, second = vals[weights > 1e-12][:2]
-    third = (second - first) / 3.0
-    return [(first - 2.0, first - 1.0), (first + third, second - third)]
-
-
 @pytest.mark.parametrize("which", [0, 1])
-def test_overlap_gauss_window_without_nodes(
-    tmp_path, scan_model, vacuum_measure, which
-):
+def test_overlap_gauss_window_without_nodes(scan_model, vacuum_measure, which):
     # the rule puts no node in a window that holds no weight: the result has
     # no rows, and the bracket certifies the window's weight below its width
     P, g = scan_model.on_axis(0.5), 0.05
-    window = _empty_windows(*vacuum_measure(scan_model, P, g))[which]
+    window = empty_windows(*vacuum_measure(scan_model, P, g))[which]
     with pytest.warns(UserWarning, match="captured only 0.0000"):
         dist = vacuum_overlap_distribution(_gauss_path(scan_model), P, g, window=window)
     assert len(dist.energies) == len(dist.weights) == 0
@@ -444,13 +396,6 @@ def test_overlap_gauss_window_without_nodes(
     assert math.isnan(dist.mean) and math.isnan(dist.spread)
     lower, upper = dist.bracket
     assert lower == 0.0 and upper <= OVERLAP_BRACKET_WIDTH
-    path = tmp_path / "overlap.csv"
-    dist.to_csv(path)
-    assert path.read_text().splitlines() == [
-        "# captured_weight=0.0 low_capture=true",
-        f"# rows=gauss_nodes nodes={dist.nodes} captured_bracket=0.0,{upper!r}",
-        "energy,weight",
-    ]
 
 
 @pytest.mark.parametrize("p_mag", [0.5, 1.5])
@@ -472,23 +417,17 @@ def test_overlap_rows_lie_in_the_window_on_both_paths(scan_model, p_mag):
     assert lower - 1e-12 <= dense.captured_weight <= upper + 1e-12
 
 
-def test_overlap_dense_window_without_eigenvalues(tmp_path, scan_model, vacuum_measure):
-    # a window below the spectrum: the dense path writes the header-only file
-    # the Gauss path writes, without its rule line
+def test_overlap_dense_window_without_eigenvalues(scan_model, vacuum_measure):
+    # a window below the spectrum: the dense path has no rows either, and no
+    # Gauss rule
     P, g = scan_model.on_axis(0.5), 0.05
-    window = _empty_windows(*vacuum_measure(scan_model, P, g))[0]
+    window = empty_windows(*vacuum_measure(scan_model, P, g))[0]
     with pytest.warns(UserWarning, match="captured only 0.0000"):
         dist = vacuum_overlap_distribution(scan_model, P, g, window=window)
     assert len(dist.energies) == len(dist.weights) == 0
     assert dist.nodes is None and dist.bracket is None
     assert dist.captured_weight == 0.0 and dist.low_capture
     assert math.isnan(dist.mean) and math.isnan(dist.spread)
-    path = tmp_path / "overlap.csv"
-    dist.to_csv(path)
-    assert path.read_text().splitlines() == [
-        "# captured_weight=0.0 low_capture=true",
-        "energy,weight",
-    ]
 
 
 def test_overlap_gauss_rule_exact_when_krylov_space_closes():
@@ -506,7 +445,7 @@ def test_overlap_gauss_rule_exact_when_krylov_space_closes():
     e0 = model.lowest(P, g).ground_energy
     dist = _overlap_quietly(model, P, g, window=(e0 - 1e-12, 1.3))
     vals, vecs = scipy.linalg.eigh(model.hamiltonian(P, g).matrix.toarray())
-    energies, weights = _cluster_sums(vals, vecs[0] ** 2)
+    energies, weights = cluster_sums(vals, vecs[0] ** 2)
     carried = weights > 1e-14
     assert dist.nodes == np.sum(carried) < model.basis.dimension
     rows = carried & (energies >= e0 - 1e-12) & (energies <= 1.3)

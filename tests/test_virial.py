@@ -13,8 +13,8 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cerenkov_fiber.cli import _write_json
-from cerenkov_fiber.config import config_from_dict, make_model
+from cerenkov_fiber.cli import main
+from cerenkov_fiber.config import config_from_dict, load_config, make_model
 from cerenkov_fiber.fock import FockBasis, build_basis
 from cerenkov_fiber.formfactor import FormFactor
 from cerenkov_fiber.grids import AngularSpec, RadialSpec, build_grid
@@ -145,6 +145,18 @@ def test_kappa_validation():
         DilationSpec(kappa=-2.0)
     with pytest.raises(DilationParameterError):
         DilationSpec(kappa=math.inf, mode="perpendicular")  # needs a cone
+
+
+def test_fiber_identity_rejects_sector_specs(small_basis, default_ff):
+    # shells and cones belong to the sector identity, which takes grad E in
+    # place of P
+    cone = ConeSpec(Z, "forward", plateau_cos=0.8, support_cos=0.3)
+    for spec in (DilationSpec(shell=ShellSpec(1)), DilationSpec(cone=cone)):
+        with pytest.raises(DilationParameterError, match="sector"):
+            virial_residual(
+                vacuum_vector(small_basis), (0, 0, 0.5), 0.1, spec, small_basis,
+                default_ff,
+            )
 
 
 def test_vacuum_residual_zero(small_basis, default_ff):
@@ -320,27 +332,34 @@ def test_sector_perpendicular_symbol_matches_fd(default_ff):
         assert symbol(k)[0] == pytest.approx(expected, abs=1e-6)
 
 
-def test_report_serialization(tmp_path, small_model):
-    P = small_model.on_axis(0.5)
-    res = small_model.lowest(P, 0.1, count=1)
+def test_report_serialization(tmp_path):
+    # the virial command writes the report's fields, its residual flag and
+    # the kappa window, spelled "inf" when no --kappa is given
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {"k_min": 0.1, "radial_count": 6, "polar_count": 4, "azimuthal_count": 2}
+    ))
+    common = ["--config", str(config), "--p", "0,0,0.5", "--g", "0.1"]
+    assert main(["virial", "--out", str(tmp_path / "inf")] + common) == 0
+    assert main(["virial", "--out", str(tmp_path), "--kappa", "30"] + common) == 0
+    assert json.loads((tmp_path / "inf" / "virial.json").read_text())["kappa"] == "inf"
+    record = json.loads((tmp_path / "virial.json").read_text())
+    cfg = load_config(str(config))
+    model = make_model(cfg)
+    P = model.on_axis(0.5)
+    res = model.lowest(P, 0.1)
     rep = virial_residual(
-        res.ground_vector(), P, 0.1, DilationSpec(kappa=30.0), small_model.basis,
-        small_model.form_factor, eigen_residual=float(res.residual_norms[0]),
+        res.ground_vector(), P, 0.1, DilationSpec(kappa=30.0), model.basis,
+        model.form_factor, eigen_residual=float(res.residual_norms[0]),
     )
-    path = tmp_path / "virial.json"
-    _write_json(path, rep.to_dict())
-    record = json.loads(path.read_text())
-    for key in (
-        "residual",
-        "number_energy_term",
-        "momentum_mixed_term",
-        "drift_term",
-        "source_term",
-        "kappa",
-        "eigen_residual",
-    ):
-        assert key in record
     assert record["kappa"] == 30.0
+    assert record["shell_n"] is None and record["mode"] == "parallel"
+    for key, value in dataclasses.asdict(rep).items():
+        assert record[key] == value, key
+    assert record["residual_dominates"] is rep.residual_dominates
+    assert record["fingerprint"] == cfg.fingerprint()
+    assert record["p"] == [0.0, 0.0, 0.5]
+    assert record["e0"] == res.ground_energy
 
 
 @settings(max_examples=25, deadline=None)
@@ -367,7 +386,7 @@ def test_kappa_infinity_residual_equals_energy_identity(
     assert r2.residual == pytest.approx(r1.residual, abs=1e-12)
 
 
-def _ground_state_virial(cfg: dict) -> dict:
+def _ground_state_virial(cfg: dict) -> VirialReport:
     model = make_model(config_from_dict(cfg))
     P = np.array([0.5, 0.0, 0.0])
     result = model.lowest(P, 0.1)
@@ -379,24 +398,27 @@ def _ground_state_virial(cfg: dict) -> dict:
         model.basis,
         model.form_factor,
     )
-    return report.to_dict()
+    return report
 
 
 def test_residual_dominates_on_default_geometric_grid():
     # 16 geometric nodes under-resolve the identity: residual 3.7e-2 against
     # terms of at most 2.0e-2
-    record = _ground_state_virial({})
-    assert record["residual_dominates"] is True
-    assert abs(record["residual"]) == pytest.approx(3.7e-2, rel=0.05)
+    report = _ground_state_virial({})
+    assert report.residual_dominates is True
+    assert abs(report.residual) == pytest.approx(3.7e-2, rel=0.05)
 
 
 def test_residual_small_on_linear_grid():
     # the benchmark's 32-node linear radial grid, at n_max = 2
-    record = _ground_state_virial(
+    report = _ground_state_virial(
         {"radial_count": 32, "radial_spacing": "linear", "polar_count": 4}
     )
-    assert record["residual_dominates"] is False
-    terms = [record[k] for k in (
-        "number_energy_term", "momentum_mixed_term", "drift_term", "source_term"
-    )]
-    assert abs(record["residual"]) < 0.01 * max(abs(t) for t in terms)
+    assert report.residual_dominates is False
+    terms = [
+        report.number_energy_term,
+        report.momentum_mixed_term,
+        report.drift_term,
+        report.source_term,
+    ]
+    assert abs(report.residual) < 0.01 * max(abs(t) for t in terms)
