@@ -18,6 +18,7 @@ import numpy as np
 from cerenkov_fiber.fock import FockBasis
 from cerenkov_fiber.formfactor import FormFactor
 from cerenkov_fiber.grids import MomentumGrid
+from cerenkov_fiber.hamiltonian import interaction_coefficients
 from cerenkov_fiber.smoothing import bump
 
 _ROOT_ATOL = 1e-12
@@ -154,8 +155,7 @@ def decay_element(
     Only one-boson amplitudes of eta contribute:
     g sum_m sqrt(vol_m) rho(|k_m|) eta_m.
     """
-    grid = basis.grid
-    coeffs = np.sqrt(grid.vol) * ff.value(grid.magnitudes)
+    coeffs = interaction_coefficients(basis.grid, ff)
     ordinals = basis.one_boson_ordinals()
     present = ordinals >= 0
     return g * float(coeffs[present] @ eta[ordinals[present]])

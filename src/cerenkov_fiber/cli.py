@@ -7,7 +7,8 @@ This is the only module that formats or writes output files.  A CSV file
 opens with `# key=value` comment lines, the first the config fingerprint,
 then a header row; a JSON file is an indented object with sorted keys and a
 `fingerprint` field.  Numbers use round-trip decimal formatting, so outputs
-are byte-identical for a fixed config fingerprint.
+are byte-identical for a fixed config fingerprint; a non-finite number is
+`nan` in a CSV cell and `null` in JSON.
 """
 
 import argparse
@@ -32,7 +33,7 @@ from cerenkov_fiber.spectra import (
 )
 from cerenkov_fiber.virial import (
     DilationParameterError,
-    DilationSpec,
+    check_kappa,
     sector_virial_residual,
     virial_residual,
 )
@@ -89,12 +90,17 @@ def _parse_vector(text: str) -> np.ndarray:
     return np.array([_finite(p) for p in parts])
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+def _json_value(obj):
+    """`obj` as plain JSON data, with every non-finite float as None."""
+    if isinstance(obj, dict):
+        return {key: _json_value(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_json_value(value) for value in obj]
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
+    if isinstance(obj, np.integer):
+        return int(obj)
+    return obj
 
 
 def _write(args, name: str, text: str) -> None:
@@ -112,7 +118,7 @@ def _write_csv(args, name: str, comments, header, rows) -> None:
 
 
 def _write_json(args, name: str, record) -> None:
-    text = json.dumps(record, indent=2, sort_keys=True, default=_json_default)
+    text = json.dumps(_json_value(record), indent=2, sort_keys=True, allow_nan=False)
     _write(args, name, text + "\n")
 
 
@@ -209,6 +215,8 @@ def _cmd_virial(args) -> int:
     if args.sector is not None and args.kappa is not None:
         raise UsageError("--kappa applies only without --sector")
     cfg = _load(args)
+    kappa = math.inf if args.kappa is None else args.kappa
+    check_kappa(kappa, cfg.cutoff)
     model = make_model(cfg)
     P = args.p
     result = model.lowest(P, args.g)
@@ -230,13 +238,11 @@ def _cmd_virial(args) -> int:
             eigen_residual=eigen_residual,
         )
     else:
-        kappa = math.inf if args.kappa is None else args.kappa
-        spec = DilationSpec(kappa=kappa)
         report = virial_residual(
             psi,
             P,
             args.g,
-            spec,
+            kappa,
             model.basis,
             model.form_factor,
             eigen_residual=eigen_residual,

@@ -63,10 +63,6 @@ class MomentumGrid:
 
     k: np.ndarray            # (M, 3) mode wavevectors
     vol: np.ndarray          # (M,) cell volumes
-    k_min: float
-    k_max: float
-    radial_nodes: int
-    angular_nodes: int
     axis: np.ndarray = field(default_factory=lambda: np.array(_Z_AXIS))
     radial_edges: np.ndarray | None = None
 
@@ -134,12 +130,4 @@ def build_grid(radial: RadialSpec, angular: AngularSpec) -> MomentumGrid:
     ) * np.ones_like(p_g)
     vol = vol.reshape(-1)
 
-    return MomentumGrid(
-        k=k,
-        vol=vol,
-        k_min=radial.k_min,
-        k_max=radial.k_max,
-        radial_nodes=radial.count,
-        angular_nodes=angular.polar_count * angular.azimuthal_count,
-        radial_edges=edges,
-    )
+    return MomentumGrid(k=k, vol=vol, radial_edges=edges)

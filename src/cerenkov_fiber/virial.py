@@ -33,8 +33,6 @@ from cerenkov_fiber.weights import (
     ShellSpec,
     cone_weight,
     cone_weight_derivative_u,
-    shell_weight,
-    shell_weight_derivative,
 )
 
 
@@ -42,93 +40,59 @@ class DilationParameterError(ValueError):
     """Scaling window parameter outside its admissible range."""
 
 
-@dataclass(frozen=True)
-class DilationSpec:
-    """Scaling-generator window: radial kappa-window or shell/cone sector."""
+def check_kappa(kappa: float, cutoff: float) -> None:
+    """Raise DilationParameterError unless kappa = inf or kappa > max(cutoff, 1).
 
-    kappa: float = math.inf
-    shell: ShellSpec | None = None
-    cone: ConeSpec | None = None
-    mode: str = "parallel"
-
-    def __post_init__(self):
-        if self.mode not in ("parallel", "perpendicular"):
-            raise DilationParameterError(f"unknown mode {self.mode!r}")
-        if self.mode == "perpendicular" and self.cone is None:
-            raise DilationParameterError(
-                "perpendicular dilation needs a cone to fix the axis"
-            )
-        if self.kappa <= 0.0:
-            raise DilationParameterError("kappa must be positive")
-
-
-def _kappa_edges(kappa: float) -> tuple:
-    lo = 1.0 / kappa
-    return (0.5 * lo, lo, kappa, 2.0 * kappa)
+    kappa > 1 keeps the window's edges in order, and kappa > cutoff puts the
+    coupling's support below its upper plateau edge.
+    """
+    bound = max(cutoff, 1.0)
+    if not (kappa == math.inf or kappa > bound):
+        raise DilationParameterError(
+            f"kappa={kappa} must exceed max(cutoff, 1) = {bound}"
+        )
 
 
 def kappa_window(kappa: float, r):
-    """Smooth indicator of [1/kappa, kappa], supported in [1/(2 kappa), 2 kappa]."""
-    if math.isinf(kappa):
-        return np.ones_like(np.asarray(r, dtype=float))
-    return plateau_ramp(_kappa_edges(kappa), r)[0]
+    """(chi, chi') of the smooth indicator of [1/kappa, kappa], supported in
+    [1/(2 kappa), 2 kappa]; (1, 0) for kappa = inf."""
+    r = np.asarray(r, dtype=float)
+    if kappa == math.inf:
+        return np.ones_like(r), np.zeros_like(r)
+    lo = 1.0 / kappa
+    return plateau_ramp((0.5 * lo, lo, kappa, 2.0 * kappa), r)
 
 
-def kappa_window_derivative(kappa: float, r):
-    if math.isinf(kappa):
-        return np.zeros_like(np.asarray(r, dtype=float))
-    return plateau_ramp(_kappa_edges(kappa), r)[1]
+def dilated_form_factor(
+    ff: FormFactor,
+    kvecs,
+    chi,
+    dchi,
+    cone: ConeSpec | None = None,
+    mode: str = "parallel",
+):
+    """The symbol (i d rho)(k) at mode wavevectors kvecs (N, 3).
 
-
-def _window_profiles(ff: FormFactor, spec: DilationSpec, r):
-    """chi(r), (chi*rho)'(r), chi*rho and friends for the active window."""
+    chi and dchi are the radial window and its derivative at |k|; the
+    perpendicular generator needs the cone, whose axis it acts across.
+    """
+    kvecs = np.atleast_2d(np.asarray(kvecs, dtype=float))
+    r = np.linalg.norm(kvecs, axis=1)
     rho = ff.value(r)
-    drho = ff.derivative(r)
-    if spec.shell is not None:
-        chi = shell_weight(spec.shell, r)
-        dchi = shell_weight_derivative(spec.shell, r)
-    elif math.isinf(spec.kappa):
-        chi = np.ones_like(r)
-        dchi = np.zeros_like(r)
-    else:
-        chi = kappa_window(spec.kappa, r)
-        dchi = kappa_window_derivative(spec.kappa, r)
-    return rho, drho, chi, dchi
-
-
-def dilated_form_factor(ff: FormFactor, spec: DilationSpec):
-    """The symbol (i d rho)(k) as a function of mode wavevectors (N, 3)."""
-    if spec.shell is None and not math.isinf(spec.kappa):
-        if spec.kappa <= max(ff.cutoff, 1.0):
-            raise DilationParameterError(
-                f"kappa={spec.kappa} must exceed max(cutoff, 1) = "
-                f"{max(ff.cutoff, 1.0)}"
-            )
-
-    def symbol(kvecs):
-        kvecs = np.atleast_2d(np.asarray(kvecs, dtype=float))
-        r = np.linalg.norm(kvecs, axis=1)
-        rho, drho, chi, dchi = _window_profiles(ff, spec, r)
-        chirho = chi * rho
-        dchirho = dchi * rho + chi * drho
-        if spec.cone is not None:
-            khat = kvecs / r[:, None]
-            xi = cone_weight(spec.cone, khat)
-            dxi_du = cone_weight_derivative_u(spec.cone, khat)
-            u = khat @ spec.cone.axis
-        else:
-            xi = np.ones_like(r)
-            dxi_du = np.zeros_like(r)
-            u = np.zeros_like(r)
-        if spec.mode == "parallel":
-            # k.grad annihilates xi(khat); only the radial derivative acts
-            return -(xi**2) * chi * (r * dchirho + 1.5 * chirho)
-        # perpendicular: k_perp . grad_perp, with div(k_perp) = 2
-        sin2 = 1.0 - u**2
-        transverse = xi * dchirho * r * sin2 - chirho * dxi_du * u * sin2
-        return -chi * xi * (transverse + chi * xi * rho)
-
-    return symbol
+    chirho = chi * rho
+    dchirho = dchi * rho + chi * ff.derivative(r)
+    if mode == "parallel":
+        # k.grad annihilates xi(khat); only the radial derivative acts
+        xi2 = 1.0 if cone is None else cone_weight(cone, kvecs / r[:, None]) ** 2
+        return -xi2 * chi * (r * dchirho + 1.5 * chirho)
+    # perpendicular: k_perp . grad_perp, with div(k_perp) = 2
+    khat = kvecs / r[:, None]
+    xi = cone_weight(cone, khat)
+    dxi_du = cone_weight_derivative_u(cone, khat)
+    u = khat @ cone.axis
+    sin2 = 1.0 - u**2
+    transverse = xi * dchirho * r * sin2 - chirho * dxi_du * u * sin2
+    return -chi * xi * (transverse + chi * xi * rho)
 
 
 @dataclass
@@ -163,7 +127,7 @@ def virial_residual(
     state,
     P,
     g: float,
-    spec: DilationSpec,
+    kappa: float,
     basis: FockBasis,
     form_factor: FormFactor,
     eigen_residual: float | None = None,
@@ -175,18 +139,16 @@ def virial_residual(
 
     The mixed term is evaluated per basis state as the dot product of two
     diagonal vector sums; both factors are diagonal on the occupation basis,
-    so the symmetrized product is exact at the discrete level.
+    so the symmetrized product is exact at the discrete level.  kappa =
+    math.inf means no window; a finite kappa must pass `check_kappa`.
     """
-    if spec.mode != "parallel" or spec.shell is not None or spec.cone is not None:
-        raise DilationParameterError(
-            "the fiber identity uses the parallel kappa-window generator; "
-            "shell/cone sectors go through sector_virial_residual"
-        )
+    check_kappa(kappa, form_factor.cutoff)
     psi = np.asarray(state, dtype=float)
     P = np.asarray(P, dtype=float).reshape(3)
     grid = basis.grid
     r = grid.magnitudes
-    w2 = kappa_window(spec.kappa, r) ** 2
+    chi, dchi = kappa_window(kappa, r)
+    w2 = chi**2
 
     t_energy = float(np.sum(psi * psi * basis.dgamma_diagonal(w2 * r)))
     w_mom = basis.dgamma_vector_diagonal(w2[:, None] * grid.k)
@@ -194,7 +156,7 @@ def virial_residual(
         np.sum(psi * psi * np.einsum("sd,sd->s", w_mom, basis.total_momentum))
     )
     t_drift = float(np.sum(psi * psi * (w_mom @ P)))
-    coeffs = np.sqrt(grid.vol) * dilated_form_factor(form_factor, spec)(grid.k)
+    coeffs = np.sqrt(grid.vol) * dilated_form_factor(form_factor, grid.k, chi, dchi)
     t_source = g * displacement_expectation(basis, coeffs, psi)
 
     return VirialReport(
@@ -203,7 +165,7 @@ def virial_residual(
         momentum_mixed_term=t_mixed,
         drift_term=t_drift,
         source_term=t_source,
-        kappa=spec.kappa,
+        kappa=kappa,
         eigen_residual=eigen_residual,
     )
 
@@ -226,32 +188,31 @@ def sector_virial_residual(
     perpendicular:  weights |k_perp|^2/|k| and k_perp with
                     k_perp = k - (k . axis) axis.
     """
-    spec = DilationSpec(kappa=math.inf, shell=shell, cone=cone, mode=mode)
+    if mode not in ("parallel", "perpendicular"):
+        raise DilationParameterError(f"unknown mode {mode!r}")
     psi = np.asarray(state, dtype=float)
     grad_E = np.asarray(grad_E, dtype=float).reshape(3)
     grid = basis.grid
     r = grid.magnitudes
 
-    chi = shell_weight(shell, r)
+    chi, dchi = plateau_ramp(shell.edges, r)
     xi = cone_weight(cone, grid.unit_vectors)
     w2 = chi**2 * xi**2
 
     if mode == "parallel":
         energy_weight = w2 * r
         kvec = grid.k
-    elif mode == "perpendicular":
+    else:
         along = grid.k @ cone.axis
         kperp = grid.k - np.outer(along, cone.axis)
         energy_weight = w2 * np.einsum("md,md->m", kperp, kperp) / r
         kvec = kperp
-    else:
-        raise DilationParameterError(f"unknown mode {mode!r}")
 
     t_energy = float(np.sum(psi * psi * basis.dgamma_diagonal(energy_weight)))
     w_mom = basis.dgamma_vector_diagonal(w2[:, None] * kvec)
     t_grad = float(np.sum(psi * psi * (w_mom @ grad_E)))
-    coeffs = np.sqrt(grid.vol) * dilated_form_factor(form_factor, spec)(grid.k)
-    t_source = g * displacement_expectation(basis, coeffs, psi)
+    symbol = dilated_form_factor(form_factor, grid.k, chi, dchi, cone, mode)
+    t_source = g * displacement_expectation(basis, np.sqrt(grid.vol) * symbol, psi)
 
     return VirialReport(
         residual=t_energy - t_grad - t_source,

@@ -61,11 +61,6 @@ def shell_weight(spec: ShellSpec, r):
     return out if out.ndim else float(out)
 
 
-def shell_weight_derivative(spec: ShellSpec, r):
-    out = plateau_ramp(spec.edges, r)[1]
-    return out if out.ndim else float(out)
-
-
 @dataclass(frozen=True)
 class ConeSpec:
     """Angular weight profile around `axis`, a function of u = khat . axis.

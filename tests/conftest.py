@@ -78,14 +78,7 @@ def single_mode_grid(k, vol: float) -> MomentumGrid:
     mag = float(np.linalg.norm(k))
     if mag <= 0.0 or vol <= 0.0:
         raise GridError("single mode needs |k| > 0 and vol > 0")
-    return MomentumGrid(
-        k=k,
-        vol=np.array([float(vol)]),
-        k_min=mag,
-        k_max=mag,
-        radial_nodes=1,
-        angular_nodes=1,
-    )
+    return MomentumGrid(k=k, vol=np.array([float(vol)]))
 
 
 def max_radial_width(grid) -> float:

@@ -32,7 +32,7 @@ from cerenkov_fiber.spectra import (
     second_order_energy,
     vacuum_overlap_distribution,
 )
-from cerenkov_fiber.virial import DilationSpec, virial_residual
+from cerenkov_fiber.virial import virial_residual
 from cerenkov_fiber.weights import ShellSpec, shell_weight
 
 SOLVER_TOL = 1e-9
@@ -149,9 +149,7 @@ def test_c05_virial_residual_refinement():
         model = FiberModel(grid=grid, basis=basis, form_factor=ff)
         P = model.on_axis(0.5)
         res = model.lowest(P, 0.1, count=1)
-        rep = virial_residual(
-            res.ground_vector(), P, 0.1, DilationSpec(kappa=math.inf), basis, ff
-        )
+        rep = virial_residual(res.ground_vector(), P, 0.1, math.inf, basis, ff)
         residuals.append(abs(rep.residual))
     ok = residuals[1] <= residuals[0] / 2.0 and residuals[2] <= residuals[1] / 2.0
     detail = " -> ".join(f"{r:.3e}" for r in residuals)

@@ -187,6 +187,29 @@ def test_scan_csv_and_json(tmp_path):
         assert cells[-1] == row["status"] == "ok"
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_scan_json_writes_failed_rows_as_null(tmp_path):
+    # one LOBPCG step cannot converge, so every row fails; its numbers are
+    # nan in scan.csv and null in scan.json, which strict parsers accept
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "radial_count": 8, "polar_count": 6, "solver_maxiter": 1,
+        "experiment": {"dense_cutoff": 10},
+    }))
+    assert run([
+        "scan", "--config", str(path), "--out", str(tmp_path),
+        "--pmin", "0.3", "--pmax", "0.5", "--steps", "2", "--g", "0.05",
+    ]) == 0
+    text = (tmp_path / "scan.json").read_text()
+    rows = json.loads(text, parse_constant=_reject_constant)["rows"]
+    assert [row["e0"] for row in rows] == [None, None]
+    assert all(row["status"] != "ok" for row in rows)
+    assert "nan" in (tmp_path / "scan.csv").read_text().split("\n")[2].split(",")
+
+
 def test_overlap_csv(tmp_path, config_path):
     assert run([
         "overlap", "--config", config_path, "--out", str(tmp_path),
@@ -561,6 +584,24 @@ def test_virial_flag_without_effect_exits_with_usage_record(
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "usage"
     assert flag in err["message"]
+    assert not (tmp_path / "virial.json").exists()
+
+
+@pytest.mark.parametrize("kappa", ["0.9", "1", "0", "-2"])
+def test_virial_kappa_out_of_range_exits_before_the_model(
+    tmp_path, capsys, monkeypatch, kappa
+):
+    # the window bound max(cutoff, 1) needs only the config
+    def no_model(cfg):
+        raise AssertionError("model built for an inadmissible --kappa")
+
+    monkeypatch.setattr(cli, "make_model", no_model)
+    argv = ["virial", "--out", str(tmp_path), "--p", "0.5,0,0", "--g", "0.1"]
+    code = run(argv + [f"--kappa={kappa}"])
+    assert code == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "validation"
+    assert "max(cutoff, 1)" in err["message"]
     assert not (tmp_path / "virial.json").exists()
 
 

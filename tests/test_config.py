@@ -16,7 +16,7 @@ def test_default_config_validates_and_builds():
     cfg = RunConfig().validate()
     model = make_model(cfg)
     assert model.basis.dimension > 1
-    assert model.grid.k_min == pytest.approx(0.05)  # 0.05 * cutoff default
+    assert model.grid.radial_edges[0] == pytest.approx(0.05)  # 0.05 * cutoff default
 
 
 def test_fingerprint_stable_and_sensitive():

@@ -171,10 +171,7 @@ def test_state_key_overflow_is_refused():
     k = np.zeros((10_000, 3))
     k[:, 2] = 1.0
     k[0, 2] = 0.01
-    grid = MomentumGrid(
-        k=k, vol=np.ones(10_000), k_min=0.01, k_max=1.0,
-        radial_nodes=10_000, angular_nodes=1,
-    )
+    grid = MomentumGrid(k=k, vol=np.ones(10_000))
     assert build_basis(grid, 4, e_cut=0.05).dimension == 5
     with pytest.raises(ValueError, match="overflow"):
         build_basis(grid, 5, e_cut=0.05)

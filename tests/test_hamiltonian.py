@@ -167,10 +167,6 @@ def test_rotational_covariance_under_azimuthal_relabeling(default_ff):
     rolled = MomentumGrid(
         k=grid.k[perm],
         vol=grid.vol[perm],
-        k_min=grid.k_min,
-        k_max=grid.k_max,
-        radial_nodes=grid.radial_nodes,
-        angular_nodes=grid.angular_nodes,
         radial_edges=grid.radial_edges,
     )
     basis2 = build_basis(rolled, 2)

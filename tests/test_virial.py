@@ -23,10 +23,10 @@ from cerenkov_fiber.hamiltonian import (
     free_fiber_diagonal,
     interaction_coefficients,
 )
+from cerenkov_fiber.smoothing import plateau_ramp
 from cerenkov_fiber.spectra import FiberModel
 from cerenkov_fiber.virial import (
     DilationParameterError,
-    DilationSpec,
     VirialReport,
     dilated_form_factor,
     kappa_window,
@@ -36,6 +36,16 @@ from cerenkov_fiber.virial import (
 from cerenkov_fiber.weights import ConeSpec, ShellSpec
 
 Z = np.array([0.0, 0.0, 1.0])
+
+
+def kappa_symbol(ff: FormFactor, kappa: float):
+    """The fiber identity's symbol as a function of wavevectors (N, 3)."""
+
+    def symbol(kvecs):
+        r = np.linalg.norm(np.atleast_2d(kvecs), axis=1)
+        return dilated_form_factor(ff, kvecs, *kappa_window(kappa, r))
+
+    return symbol
 
 
 def energy_identity_residual(
@@ -64,8 +74,7 @@ def energy_identity_residual(
     )
     h_full = h_free + g * phi
 
-    spec = DilationSpec(kappa=math.inf)
-    coeffs = np.sqrt(grid.vol) * dilated_form_factor(form_factor, spec)(grid.k)
+    coeffs = np.sqrt(grid.vol) * kappa_symbol(form_factor, math.inf)(grid.k)
     t_source = g * displacement_expectation(basis, coeffs, psi)
     pf_sq = expect_field_momentum_sq(psi, basis)
 
@@ -90,7 +99,7 @@ def kvec(r, u=1.0, phi=0.0):
 
 def test_infinite_kappa_symbol_on_power_region():
     ff = FormFactor(amplitude=1.0, beta=1.0, cutoff=1.0, smooth_width=0.2)
-    symbol = dilated_form_factor(ff, DilationSpec(kappa=math.inf))
+    symbol = kappa_symbol(ff, math.inf)
     for r in (0.2, 0.5, 0.7):
         # -(beta + 3/2) r^beta on the pure power region
         assert symbol(kvec(r))[0] == pytest.approx(-(1.0 + 1.5) * r, rel=1e-12)
@@ -98,8 +107,8 @@ def test_infinite_kappa_symbol_on_power_region():
 
 def test_finite_kappa_matches_infinite_inside_window():
     ff = FormFactor()
-    inf_symbol = dilated_form_factor(ff, DilationSpec(kappa=math.inf))
-    fin_symbol = dilated_form_factor(ff, DilationSpec(kappa=25.0))
+    inf_symbol = kappa_symbol(ff, math.inf)
+    fin_symbol = kappa_symbol(ff, 25.0)
     for r in (0.1, 0.5, 0.9):  # window [1/25, 25] covers these with chi = 1
         assert fin_symbol(kvec(r))[0] == pytest.approx(inf_symbol(kvec(r))[0], abs=1e-14)
 
@@ -108,12 +117,12 @@ def test_symbol_matches_finite_difference_of_generator():
     # -(chi (r d/dr (chi rho) + 1.5 chi rho)) via central differences on chi*rho
     ff = FormFactor(amplitude=0.8, beta=1.2, cutoff=1.0, smooth_width=0.25)
     kappa = 3.0
-    symbol = dilated_form_factor(ff, DilationSpec(kappa=kappa))
+    symbol = kappa_symbol(ff, kappa)
     h = 1e-5
     for r in (0.2, 0.35, 0.6, 2.2):
-        chirho = lambda x: kappa_window(kappa, x) * ff.value(x)
+        chirho = lambda x: kappa_window(kappa, x)[0] * ff.value(x)
         fd = (chirho(r + h) - chirho(r - h)) / (2 * h)
-        expected = -kappa_window(kappa, r) * (r * fd + 1.5 * chirho(r))
+        expected = -kappa_window(kappa, r)[0] * (r * fd + 1.5 * chirho(r))
         assert symbol(kvec(r))[0] == pytest.approx(expected, abs=1e-6)
 
 
@@ -121,7 +130,7 @@ def test_commutator_identities_via_finite_differences():
     # i[|k|, d] = chi^2 |k| and i[k_z, d] = chi^2 k_z checked against an FD
     # representation of d = chi (r f' + 1.5 f) chi acting on radial test funcs
     kappa = 4.0
-    chi = lambda r: kappa_window(kappa, r)
+    chi = lambda r: kappa_window(kappa, r)[0]
     h = 1e-6
     f = lambda r: np.exp(-((r - 0.6) ** 2) / 0.05)
 
@@ -137,33 +146,26 @@ def test_commutator_identities_via_finite_differences():
         assert lhs == pytest.approx(rhs, abs=1e-5)
 
 
-def test_kappa_validation():
-    ff = FormFactor()
-    with pytest.raises(DilationParameterError):
-        dilated_form_factor(ff, DilationSpec(kappa=0.9))
-    with pytest.raises(DilationParameterError):
-        DilationSpec(kappa=-2.0)
-    with pytest.raises(DilationParameterError):
-        DilationSpec(kappa=math.inf, mode="perpendicular")  # needs a cone
+def test_kappa_validation(small_basis, default_ff):
+    # a finite window must exceed max(cutoff, 1) = 1 for the default coupling
+    vac = vacuum_vector(small_basis)
+    for kappa in (0.9, 1.0, 0.0, -2.0):
+        with pytest.raises(DilationParameterError, match=r"max\(cutoff, 1\)"):
+            virial_residual(vac, (0, 0, 0.5), 0.1, kappa, small_basis, default_ff)
 
 
-def test_fiber_identity_rejects_sector_specs(small_basis, default_ff):
-    # shells and cones belong to the sector identity, which takes grad E in
-    # place of P
+def test_sector_rejects_unknown_mode(small_basis, default_ff):
     cone = ConeSpec(Z, "forward", plateau_cos=0.8, support_cos=0.3)
-    for spec in (DilationSpec(shell=ShellSpec(1)), DilationSpec(cone=cone)):
-        with pytest.raises(DilationParameterError, match="sector"):
-            virial_residual(
-                vacuum_vector(small_basis), (0, 0, 0.5), 0.1, spec, small_basis,
-                default_ff,
-            )
+    with pytest.raises(DilationParameterError, match="unknown mode"):
+        sector_virial_residual(
+            vacuum_vector(small_basis), (0, 0, 0.5), ShellSpec(1), cone, "radial",
+            0.1, small_basis, default_ff,
+        )
 
 
 def test_vacuum_residual_zero(small_basis, default_ff):
     vac = vacuum_vector(small_basis)
-    rep = virial_residual(
-        vac, (0.5, 0, 0), 0.0, DilationSpec(kappa=math.inf), small_basis, default_ff
-    )
+    rep = virial_residual(vac, (0.5, 0, 0), 0.0, math.inf, small_basis, default_ff)
     assert rep.residual == 0.0
 
 
@@ -173,7 +175,7 @@ def test_one_boson_state_residual_closed_form(default_ff):
     one = np.zeros(basis.dimension)
     one[index_of(basis, (0,))] = 1.0
     P = np.array([0.2, 0.0, 0.6])
-    rep = virial_residual(one, P, 0.0, DilationSpec(kappa=math.inf), basis, default_ff)
+    rep = virial_residual(one, P, 0.0, math.inf, basis, default_ff)
     k = np.array([0.0, 0.3, 0.4])
     expected = np.linalg.norm(k) + k @ k - P @ k
     assert rep.residual == pytest.approx(expected, abs=1e-14)
@@ -194,7 +196,7 @@ def test_energy_identity_equals_kappa_infinity_residual(small_model):
     psi /= np.linalg.norm(psi)
     P, g = np.array([0.3, -0.2, 0.5]), 0.17
     r1 = virial_residual(
-        psi, P, g, DilationSpec(kappa=math.inf), small_model.basis,
+        psi, P, g, math.inf, small_model.basis,
         small_model.form_factor,
     )
     r2 = energy_identity_residual(psi, P, g, small_model.basis, small_model.form_factor)
@@ -206,7 +208,7 @@ def test_ground_state_energy_identity_small(small_model):
     res = small_model.lowest(P, 0.1, count=1)
     psi = res.ground_vector()
     r_inf = virial_residual(
-        psi, P, 0.1, DilationSpec(kappa=math.inf), small_model.basis,
+        psi, P, 0.1, math.inf, small_model.basis,
         small_model.form_factor,
     )
     r_en = energy_identity_residual(
@@ -225,7 +227,7 @@ def test_residual_decreases_under_radial_refinement():
         P = model.on_axis(0.5)
         res = model.lowest(P, 0.1, count=1)
         rep = virial_residual(
-            res.ground_vector(), P, 0.1, DilationSpec(kappa=math.inf), basis, ff
+            res.ground_vector(), P, 0.1, math.inf, basis, ff
         )
         residuals.append(abs(rep.residual))
     assert residuals[1] < residuals[0] / 2.0
@@ -239,23 +241,22 @@ def test_finite_kappa_equals_infinite_when_window_covers_grid(small_model):
     psi = res.ground_vector()
     args = (psi, P, 0.1)
     r_inf = virial_residual(
-        *args, DilationSpec(kappa=math.inf), small_model.basis, small_model.form_factor
+        *args, math.inf, small_model.basis, small_model.form_factor
     )
     r_fin = virial_residual(
-        *args, DilationSpec(kappa=25.0), small_model.basis, small_model.form_factor
+        *args, 25.0, small_model.basis, small_model.form_factor
     )
     assert r_fin.residual == pytest.approx(r_inf.residual, abs=1e-14)
 
 
 def test_residual_shrinks_with_solver_tolerance(small_model):
     P = small_model.on_axis(0.5)
-    spec = DilationSpec(kappa=math.inf)
     vals = {}
     for tol in (1e-6, 1e-9):
         model = dataclasses.replace(small_model, solver_tol=tol)
         res = model.lowest(P, 0.1, count=1)
         rep = virial_residual(
-            res.ground_vector(), P, 0.1, spec, small_model.basis,
+            res.ground_vector(), P, 0.1, math.inf, small_model.basis,
             small_model.form_factor, eigen_residual=float(res.residual_norms[0]),
         )
         vals[tol] = rep
@@ -304,8 +305,10 @@ def test_sector_perpendicular_symbol_matches_fd(default_ff):
     # k_perp . grad_perp acting on chi(r) xi(u) rho(r), against 2D central FD
     shell = ShellSpec(2)
     cone = ConeSpec(Z, "complement-double", plateau_cos=0.2, support_cos=0.8)
-    spec = DilationSpec(shell=shell, cone=cone, mode="perpendicular")
-    symbol = dilated_form_factor(default_ff, spec)
+
+    def symbol(k):
+        chi, dchi = plateau_ramp(shell.edges, np.linalg.norm(k, keepdims=True))
+        return dilated_form_factor(default_ff, k, chi, dchi, cone, "perpendicular")
 
     from cerenkov_fiber.weights import cone_weight, shell_weight
 
@@ -349,7 +352,7 @@ def test_report_serialization(tmp_path):
     P = model.on_axis(0.5)
     res = model.lowest(P, 0.1)
     rep = virial_residual(
-        res.ground_vector(), P, 0.1, DilationSpec(kappa=30.0), model.basis,
+        res.ground_vector(), P, 0.1, 30.0, model.basis,
         model.form_factor, eigen_residual=float(res.residual_norms[0]),
     )
     assert record["kappa"] == 30.0
@@ -381,7 +384,7 @@ def test_kappa_infinity_residual_equals_energy_identity(
     ff = FormFactor(cutoff=2.0)
     psi = np.random.default_rng(seed).normal(size=basis.dimension)
     psi /= np.linalg.norm(psi)
-    r1 = virial_residual(psi, P, g, DilationSpec(kappa=math.inf), basis, ff)
+    r1 = virial_residual(psi, P, g, math.inf, basis, ff)
     r2 = energy_identity_residual(psi, P, g, basis, ff)
     assert r2.residual == pytest.approx(r1.residual, abs=1e-12)
 
@@ -394,7 +397,7 @@ def _ground_state_virial(cfg: dict) -> VirialReport:
         result.ground_vector(),
         P,
         0.1,
-        DilationSpec(kappa=math.inf),
+        math.inf,
         model.basis,
         model.form_factor,
     )

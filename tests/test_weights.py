@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from conftest import mode_weights
 
+from cerenkov_fiber.smoothing import plateau_ramp
 from cerenkov_fiber.weights import (
     CONE_SLOPE_CONSTANT,
     DEFAULT_SHELL_SLOPE_CONSTANT,
@@ -11,7 +12,6 @@ from cerenkov_fiber.weights import (
     cone_weight,
     cone_weight_derivative_u,
     shell_weight,
-    shell_weight_derivative,
 )
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -71,7 +71,7 @@ def test_shell_derivative_bound_dense_sampling():
     for n in (1, 2, 3, 6):
         spec = ShellSpec(n)
         r = np.linspace(1e-4, 2.0, 200_001)
-        d = shell_weight_derivative(spec, r)
+        d = plateau_ramp(spec.edges, r)[1]
         assert np.max(np.abs(d)) <= DEFAULT_SHELL_SLOPE_CONSTANT * n
 
 
@@ -80,7 +80,7 @@ def test_shell_derivative_matches_fd():
     h = 1e-7
     for r in (0.17, 0.3, 0.52, 0.7):
         fd = (shell_weight(spec, r + h) - shell_weight(spec, r - h)) / (2 * h)
-        assert shell_weight_derivative(spec, r) == pytest.approx(fd, abs=1e-5)
+        assert plateau_ramp(spec.edges, r)[1] == pytest.approx(fd, abs=1e-5)
 
 
 def test_adjacent_plus_two_shell_supports_disjoint():
